@@ -9,17 +9,11 @@ namespace logcl {
 Rng::Rng(uint64_t seed) : state_(seed) {}
 
 uint64_t Rng::Next() {
-  state_ += 0x9E3779B97F4A7C15ULL;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  state_ += kGamma;
+  return Mix(state_);
 }
 
-double Rng::Uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
+double Rng::Uniform() { return ToUnit(Next()); }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/observability.h"
+#include "tensor/buffer_pool.h"
 
 namespace logcl {
 
@@ -141,6 +142,11 @@ StreamIngestReport StreamSession::IngestSnapshot(
   report.served = now.requests - last_stats_.requests;
   report.shed = now.shed - last_stats_.shed;
   last_stats_ = now;
+  // The next ingest's shapes differ (history grew), so nothing pooled here
+  // would ever be popped again; drop it rather than strand it until the
+  // pool's byte cap. The superseded snapshot's tensors go first.
+  stale.reset();
+  TrimBufferPool();
   report.seconds = static_cast<double>(MonotonicNowNs() - start) * 1e-9;
   return report;
 }

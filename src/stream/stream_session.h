@@ -18,7 +18,10 @@
 //                     rebuilt from the fine-tuned weights;
 //                  7. freshness eval — the SAME arrivals re-score on the
 //                     new snapshot; (stale, fresh) MRR feeds the rolling
-//                     DriftTracker (eval/drift.h).
+//                     DriftTracker (eval/drift.h);
+//                  8. TrimBufferPool — ingest tensor shapes grow with the
+//                     history, so the exact-size pool could never reuse
+//                     this ingest's buffers; they are freed here.
 //
 // Query traffic keeps flowing for the entire ingest except the fine-tune
 // span (steps 2-6), during which submissions still enqueue (and still shed

@@ -30,7 +30,10 @@
 //    history-dependent tensor shapes every snapshot — would otherwise strand
 //    every superseded size in a bucket nothing ever pops again, growing the
 //    process without bound. Exceeding the cap drops all pooled buffers; the
-//    live working set re-pools within an iteration.
+//    live working set re-pools within an iteration. The cap is the
+//    backstop: StreamSession::IngestSnapshot calls TrimBufferPool after
+//    every ingest, so a long stream holds no superseded sizes at all and
+//    its memory stays flat instead of climbing toward the cap.
 //  - Env toggles: LOGCL_TENSOR_POOL=0 restores malloc-per-op (Acquire always
 //    allocates fresh zeroed storage, Release frees); LOGCL_POISON_UNINIT=1
 //    enables the poison-fill debug mode; LOGCL_POOL_MAX_MB=0 removes the

@@ -1567,17 +1567,25 @@ Tensor RRelu(const Tensor& x, bool training, Rng* rng) {
   LOGCL_CHECK(rng != nullptr);
   int64_t n = x.num_elements();
   const float* xd = x.data().data();
-  std::vector<float> slopes(static_cast<size_t>(n));
   std::vector<float> out = UninitOut(n);
-  // Serial on purpose: the slopes must consume the RNG stream in index
-  // order so training runs are reproducible at any thread count.
-  for (int64_t i = 0; i < n; ++i) {
-    float s = static_cast<float>(rng->Uniform(kRReluLower, kRReluUpper));
-    slopes[static_cast<size_t>(i)] = s;
-    out[static_cast<size_t>(i)] = xd[i] > 0.0f ? xd[i] : s * xd[i];
-  }
+  float* od = out.data();
+  // Counter-based draws: element i's slope is draw i of the stream
+  // (Rng::UniformAt), whichever shard computes it, so outputs are the same
+  // at any thread count. The stream then advances past exactly n draws, as
+  // a serial sweep would, and backward recomputes the slopes from `draws`.
+  const Rng draws = *rng;
+  rng->Skip(static_cast<uint64_t>(n));
+  auto slope = [](const Rng& r, int64_t i) {
+    return static_cast<float>(
+        r.UniformAt(static_cast<uint64_t>(i), kRReluLower, kRReluUpper));
+  };
+  ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      od[i] = xd[i] > 0.0f ? xd[i] : slope(draws, i) * xd[i];
+    }
+  });
   return Tensor::MakeOpOutput(
-      x.shape(), std::move(out), {x}, [n, slopes](Node& node) {
+      x.shape(), std::move(out), {x}, [n, draws, slope](Node& node) {
         const auto& px = node.parents[0];
         if (!px->requires_grad) return;
         px->EnsureGrad();
@@ -1586,8 +1594,7 @@ Tensor RRelu(const Tensor& x, bool training, Rng* rng) {
         float* gx = px->grad.data();
         ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
           for (int64_t i = i0; i < i1; ++i) {
-            gx[i] +=
-                g[i] * (xd[i] > 0.0f ? 1.0f : slopes[static_cast<size_t>(i)]);
+            gx[i] += g[i] * (xd[i] > 0.0f ? 1.0f : slope(draws, i));
           }
         });
       });
@@ -1614,26 +1621,28 @@ Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
   int64_t n = x.num_elements();
   float scale = 1.0f / (1.0f - p);
   const float* xd = x.data().data();
-  std::vector<float> mask(static_cast<size_t>(n));
   std::vector<float> out = UninitOut(n);
-  // Serial on purpose: mask draws consume the RNG stream in index order
-  // (see RRelu).
-  for (int64_t i = 0; i < n; ++i) {
-    float m = rng->Bernoulli(p) ? 0.0f : scale;
-    mask[static_cast<size_t>(i)] = m;
-    out[static_cast<size_t>(i)] = xd[i] * m;
-  }
+  float* od = out.data();
+  // Counter-based mask draws (Rng::BernoulliAt; see RRelu): thread-count
+  // invariant, the stream advances by exactly n, and backward recomputes
+  // the mask from `draws`.
+  const Rng draws = *rng;
+  rng->Skip(static_cast<uint64_t>(n));
+  auto mask = [p, scale](const Rng& r, int64_t i) {
+    return r.BernoulliAt(static_cast<uint64_t>(i), p) ? 0.0f : scale;
+  };
+  ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) od[i] = xd[i] * mask(draws, i);
+  });
   return Tensor::MakeOpOutput(
-      x.shape(), std::move(out), {x}, [n, mask](Node& node) {
+      x.shape(), std::move(out), {x}, [n, draws, mask](Node& node) {
         const auto& px = node.parents[0];
         if (!px->requires_grad) return;
         px->EnsureGrad();
         const float* g = node.grad.data();
         float* gx = px->grad.data();
         ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) {
-            gx[i] += g[i] * mask[static_cast<size_t>(i)];
-          }
+          for (int64_t i = i0; i < i1; ++i) gx[i] += g[i] * mask(draws, i);
         });
       });
 }

@@ -482,32 +482,74 @@ LOGCL_TARGET_AVX2 float RowMax(const float* x, int64_t n) {
   return m;
 }
 
-// Register-resident micro-panel: R output rows x one 8-wide column chunk,
-// accumulators held in ymm registers across the full reduction sweep. Each
-// accumulator is one output element's chain: zero init, ascending l,
-// mul-then-add — identical to the scalar kernel's acc[r][j].
-template <int R>
-LOGCL_TARGET_AVX2 inline void PanelNN(const float* a, int64_t lda,
-                                      const float* b, float* c, int64_t k,
-                                      int64_t n) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m256 acc[R];
-    for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
-    for (int64_t l = 0; l < k; ++l) {
-      const __m256 bv = _mm256_loadu_ps(b + l * n + j);
-      for (int r = 0; r < R; ++r) {
-        acc[r] = _mm256_add_ps(
-            acc[r], _mm256_mul_ps(_mm256_set1_ps(a[r * lda + l]), bv));
+// Register tile: R output rows x W 8-wide column vectors, accumulators held
+// in ymm registers across the full reduction sweep. The 4 x 3 tile uses 12
+// accumulators, 3 B loads and 4 broadcasts per l — all 16 ymm registers.
+// Each accumulator is one output element's chain: zero init, ascending l,
+// mul-then-add, one final add into C — identical to the scalar kernel's
+// acc[r][j].
+template <int R, int W>
+LOGCL_TARGET_AVX2 inline void TileNN(const float* a, int64_t lda,
+                                     const float* b, int64_t ldb, float* c,
+                                     int64_t ldc, int64_t k) {
+  __m256 acc[R][W];
+  for (int r = 0; r < R; ++r) {
+    for (int w = 0; w < W; ++w) acc[r][w] = _mm256_setzero_ps();
+  }
+  for (int64_t l = 0; l < k; ++l) {
+    __m256 bv[W];
+    for (int w = 0; w < W; ++w) bv[w] = _mm256_loadu_ps(b + l * ldb + 8 * w);
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a[r * lda + l]);
+      for (int w = 0; w < W; ++w) {
+        acc[r][w] = _mm256_add_ps(acc[r][w], _mm256_mul_ps(av, bv[w]));
       }
     }
-    for (int r = 0; r < R; ++r) {
-      float* cp = c + r * n + j;
-      _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), acc[r]));
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int w = 0; w < W; ++w) {
+      float* cp = c + r * ldc + 8 * w;
+      _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), acc[r][w]));
     }
   }
+}
+
+// One column block (8*W wide) down `rows` rows: 4-row tiles, then the
+// 1-3-row remainder.
+template <int W>
+LOGCL_TARGET_AVX2 inline void ColumnBlockNN(const float* a, int64_t lda,
+                                            const float* b, int64_t ldb,
+                                            float* c, int64_t ldc, int64_t k,
+                                            int64_t rows) {
+  int64_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    TileNN<4, W>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k);
+  }
+  const float* ai = a + i * lda;
+  float* ci = c + i * ldc;
+  switch (rows - i) {
+    case 3: TileNN<3, W>(ai, lda, b, ldb, ci, ldc, k); break;
+    case 2: TileNN<2, W>(ai, lda, b, ldb, ci, ldc, k); break;
+    case 1: TileNN<1, W>(ai, lda, b, ldb, ci, ldc, k); break;
+    default: break;
+  }
+}
+
+// C(rows x n) += A(rows x k, leading dimension lda) * B(k x n). Column
+// blocks run outside the row panels, so one 24-wide strip of B stays in L1
+// while every row of A streams past it. Columns left over after the 24-wide
+// blocks take 8-wide tiles, then the scalar chain.
+LOGCL_TARGET_AVX2 void PanelsNN(const float* a, int64_t lda, const float* b,
+                                float* c, int64_t k, int64_t n, int64_t rows) {
+  int64_t j = 0;
+  for (; j + 24 <= n; j += 24) {
+    ColumnBlockNN<3>(a, lda, b + j, n, c + j, n, k, rows);
+  }
+  for (; j + 8 <= n; j += 8) {
+    ColumnBlockNN<1>(a, lda, b + j, n, c + j, n, k, rows);
+  }
   for (; j < n; ++j) {
-    for (int r = 0; r < R; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
       float acc = 0.0f;
       for (int64_t l = 0; l < k; ++l) acc += a[r * lda + l] * b[l * n + j];
       c[r * n + j] += acc;
@@ -518,18 +560,13 @@ LOGCL_TARGET_AVX2 inline void PanelNN(const float* a, int64_t lda,
 LOGCL_TARGET_AVX2 void MatMulRowsNN(const float* a, const float* b, float* c,
                                     int64_t /*m*/, int64_t k, int64_t n,
                                     int64_t r0, int64_t r1) {
-  int64_t i = r0;
-  for (; i + 4 <= r1; i += 4) PanelNN<4>(a + i * k, k, b, c + i * n, k, n);
-  switch (r1 - i) {
-    case 3: PanelNN<3>(a + i * k, k, b, c + i * n, k, n); break;
-    case 2: PanelNN<2>(a + i * k, k, b, c + i * n, k, n); break;
-    case 1: PanelNN<1>(a + i * k, k, b, c + i * n, k, n); break;
-    default: break;
-  }
+  PanelsNN(a + r0 * k, k, b, c + r0 * n, k, n, r1 - r0);
 }
 
 // TN is NN with A read column-wise: the A operand of output row i is the
-// stride-k column a[. * k + i].
+// stride-k column a[. * k + i]. PanelTN reads those columns in place; it
+// serves outputs narrower than one 24-wide block and the 1-3-row remainder
+// of a shard.
 template <int R>
 LOGCL_TARGET_AVX2 inline void PanelTN(const float* a, int64_t k, int64_t i0,
                                       const float* b, float* c, int64_t m,
@@ -562,10 +599,30 @@ LOGCL_TARGET_AVX2 inline void PanelTN(const float* a, int64_t k, int64_t i0,
   }
 }
 
+// Wide outputs pack the shard's A columns [r0, r0 + rows4) into a
+// contiguous A^T panel (a pure copy) and run the NN tiles over it with the
+// reduction length m: per output element that is the same ascending-l
+// chain PanelTN computes, with 24-wide register tiles instead of 8-wide.
 LOGCL_TARGET_AVX2 void MatMulRowsTN(const float* a, const float* b, float* c,
                                     int64_t m, int64_t k, int64_t n,
                                     int64_t r0, int64_t r1) {
   int64_t i = r0;
+  const int64_t rows4 = n < 24 ? 0 : (r1 - r0) / 4 * 4;
+  if (rows4 > 0) {
+    PooledBuffer at(static_cast<size_t>(rows4) * static_cast<size_t>(m),
+                    BufferFill::kUninit);
+    float* ap = at.data();
+    // 16 reduction steps per block: each panel row receives one cache line
+    // while the 16 source rows stay in L1.
+    for (int64_t l0 = 0; l0 < m; l0 += 16) {
+      const int64_t l1 = std::min(m, l0 + 16);
+      for (int64_t r = 0; r < rows4; ++r) {
+        for (int64_t l = l0; l < l1; ++l) ap[r * m + l] = a[l * k + r0 + r];
+      }
+    }
+    PanelsNN(ap, m, b, c + r0 * n, m, n, rows4);
+    i += rows4;
+  }
   for (; i + 4 <= r1; i += 4) PanelTN<4>(a, k, i, b, c + i * n, m, n);
   switch (r1 - i) {
     case 3: PanelTN<3>(a, k, i, b, c + i * n, m, n); break;

@@ -100,9 +100,14 @@ float RowMax(const float* x, int64_t n);
 
 // --- fp32 matmul kernels (accumulate into C) -------------------------------
 //
-// Tile geometry shared by every variant (and by ops.cc's fused
-// message-passing tiles): kTileRows x kTileCols output tiles swept by an
-// axpy over the reduction dimension.
+// Tile geometry of the scalar kernels and ops.cc's fused message-passing
+// tiles: kTileRows x kTileCols accumulator tiles swept by an axpy over the
+// reduction dimension. The AVX2 NN and TN kernels hold kTileRows x 24
+// register tiles instead (12 ymm accumulators), with 8-wide and scalar
+// column tails; TN first packs each shard's A columns into a contiguous
+// A^T panel. Every variant keeps one zero-initialised accumulator per
+// output element over ascending reduction index, so the geometry never
+// changes a bit of the result.
 inline constexpr int64_t kTileRows = 4;
 inline constexpr int64_t kTileCols = 64;
 /// Do not split a matmul into shards below this many multiply-accumulates.

@@ -171,6 +171,40 @@ TEST(RngTest, SplitStreamsAreIndependentOfParentUse) {
   (void)a_child;
 }
 
+TEST(RngTest, CounterAccessorsReadAheadWithoutAdvancing) {
+  Rng ahead(11);
+  Rng serial(11);
+  for (uint64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(ahead.UniformAt(i, -0.5, 2.0), serial.Uniform(-0.5, 2.0))
+        << "draw " << i;
+  }
+  Rng fresh(11);
+  EXPECT_EQ(ahead.Next(), fresh.Next());  // the accessors did not advance
+}
+
+TEST(RngTest, BernoulliAtMatchesSerialBernoulli) {
+  Rng ahead(12);
+  Rng serial(12);
+  int hits = 0;
+  for (uint64_t i = 0; i < 2000; ++i) {
+    bool b = ahead.BernoulliAt(i, 0.3);
+    EXPECT_EQ(b, serial.Bernoulli(0.3)) << "draw " << i;
+    hits += b ? 1 : 0;
+  }
+  EXPECT_NEAR(hits, 600, 90);
+}
+
+TEST(RngTest, SkipEqualsSerialDraws) {
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{7}, uint64_t{1000}}) {
+    Rng skipped(13);
+    Rng serial(13);
+    skipped.Skip(n);
+    for (uint64_t i = 0; i < n; ++i) serial.Next();
+    EXPECT_EQ(skipped.Next(), serial.Next()) << "n=" << n;
+    EXPECT_EQ(skipped.UniformAt(5, 0.0, 1.0), serial.UniformAt(5, 0.0, 1.0));
+  }
+}
+
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(10);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7};

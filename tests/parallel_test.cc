@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/logcl_model.h"
 #include "synth/generator.h"
+#include "tensor/ops.h"
 #include "tensor/optimizer.h"
 
 namespace logcl {
@@ -134,6 +136,96 @@ TEST(ParallelReduceTest, FloatSumIsBitwiseIdenticalAcrossThreadCounts) {
   SetNumThreads(4);
   float threaded = sum();
   EXPECT_EQ(serial, threaded);  // bitwise, not near
+}
+
+// RRelu slopes and dropout masks are counter-based draws (Rng::UniformAt /
+// BernoulliAt) taken in parallel. At 1 and 4 threads the outputs and input
+// gradients must be bitwise equal to a serial sweep over rng->Uniform /
+// Bernoulli, and the generator must end where n serial draws leave it.
+constexpr int64_t kDrawRows = 300, kDrawCols = 101;  // > 3 shards of kGrain
+
+std::vector<float> SignedValues(int64_t n, uint32_t seed) {
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& x : v) {
+    seed = seed * 1664525u + 1013904223u;
+    x = static_cast<float>(seed % 2001) / 97.0f - 10.0f;
+  }
+  return v;
+}
+
+struct DrawResult {
+  std::vector<float> out, grad;
+  uint64_t next;  // first draw after the op
+};
+
+template <typename Op>
+DrawResult RunDrawOp(int threads, const Op& op) {
+  SetNumThreads(threads);
+  const int64_t n = kDrawRows * kDrawCols;
+  Tensor x = Tensor::FromVector(Shape{kDrawRows, kDrawCols},
+                                SignedValues(n, 7), /*requires_grad=*/true);
+  Tensor g = Tensor::FromVector(Shape{kDrawRows, kDrawCols},
+                                SignedValues(n, 8));
+  Rng rng(2024);
+  Tensor y = op(x, &rng);
+  Backward(y, g);
+  return {y.data(), x.grad(), rng.Next()};
+}
+
+void ExpectSameBits(const std::vector<float>& a, const std::vector<float>& b,
+                    const char* what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(0, std::memcmp(&a[i], &b[i], sizeof(float)))
+        << what << " differs at " << i;
+  }
+}
+
+TEST(ThreadDeterminismTest, RReluDrawsMatchSerialStreamAtAnyThreadCount) {
+  ThreadCountGuard guard;
+  const int64_t n = kDrawRows * kDrawCols;
+  std::vector<float> x = SignedValues(n, 7), g = SignedValues(n, 8);
+  DrawResult ref{std::vector<float>(x.size()), std::vector<float>(x.size()),
+                 0};
+  Rng serial(2024);
+  for (size_t i = 0; i < x.size(); ++i) {
+    float s = static_cast<float>(serial.Uniform(1.0f / 8.0f, 1.0f / 3.0f));
+    ref.out[i] = x[i] > 0.0f ? x[i] : s * x[i];
+    ref.grad[i] = 0.0f + g[i] * (x[i] > 0.0f ? 1.0f : s);
+  }
+  ref.next = serial.Next();
+  for (int threads : {1, 4}) {
+    DrawResult got = RunDrawOp(threads, [](const Tensor& t, Rng* rng) {
+      return ops::RRelu(t, /*training=*/true, rng);
+    });
+    ExpectSameBits(ref.out, got.out, "rrelu output");
+    ExpectSameBits(ref.grad, got.grad, "rrelu input grad");
+    EXPECT_EQ(ref.next, got.next) << "threads=" << threads;
+  }
+}
+
+TEST(ThreadDeterminismTest, DropoutDrawsMatchSerialStreamAtAnyThreadCount) {
+  ThreadCountGuard guard;
+  const float p = 0.3f, scale = 1.0f / (1.0f - p);
+  const int64_t n = kDrawRows * kDrawCols;
+  std::vector<float> x = SignedValues(n, 7), g = SignedValues(n, 8);
+  DrawResult ref{std::vector<float>(x.size()), std::vector<float>(x.size()),
+                 0};
+  Rng serial(2024);
+  for (size_t i = 0; i < x.size(); ++i) {
+    float m = serial.Bernoulli(p) ? 0.0f : scale;
+    ref.out[i] = x[i] * m;
+    ref.grad[i] = 0.0f + g[i] * m;
+  }
+  ref.next = serial.Next();
+  for (int threads : {1, 4}) {
+    DrawResult got = RunDrawOp(threads, [p](const Tensor& t, Rng* rng) {
+      return ops::Dropout(t, p, /*training=*/true, rng);
+    });
+    ExpectSameBits(ref.out, got.out, "dropout output");
+    ExpectSameBits(ref.grad, got.grad, "dropout input grad");
+    EXPECT_EQ(ref.next, got.next) << "threads=" << threads;
+  }
 }
 
 // The ISSUE's acceptance test: one full LogCL training epoch plus scoring

@@ -178,11 +178,17 @@ TEST(SimdParityTest, RowMax) {
 }
 
 // Shapes crossing every panel/vector boundary: rows hit the R=4 main loop
-// plus 1/2/3-row remainders, columns hit full 8-lane vectors plus tails.
+// plus 1/2/3-row remainders; columns hit full 24-wide register tiles, the
+// 8-wide tiles after them (n = 47, 48, 49, 64, 200 leave 23, 0, 1, 16, 8
+// columns) and the scalar tails. The wide shapes shard TN output rows into
+// packed panels with 1-3-row remainders at 1 to 4 threads.
 const struct {
   int64_t m, k, n;
-} kMatShapes[] = {{1, 1, 1},   {3, 5, 7},    {4, 8, 8},  {5, 9, 17},
-                  {7, 16, 24}, {13, 21, 33}, {8, 32, 9}, {2, 64, 70}};
+} kMatShapes[] = {{1, 1, 1},     {3, 5, 7},       {4, 8, 8},
+                  {5, 9, 17},    {7, 16, 24},     {13, 21, 33},
+                  {8, 32, 9},    {2, 64, 70},     {6, 13, 47},
+                  {9, 30, 48},   {11, 7, 49},     {17, 45, 64},
+                  {37, 23, 200}, {203, 200, 200}};
 
 TEST(SimdParityTest, MatMulDrivers) {
   for (const auto& s : kMatShapes) {
@@ -224,6 +230,31 @@ TEST(SimdParityTest, MatMulRowRangesComposeToWhole) {
                        std::min<int64_t>(m, r0 + 3));
   }
   ExpectBitwiseEqual(whole, pieces, "row-range composition");
+}
+
+TEST(SimdParityTest, MatMulRowsTNRangesComposeToWhole) {
+  // TN packs the A columns of each row range into its own panel, so pieces
+  // of every length (1-3-row remainders, packed multiples of four) must
+  // equal one full-range call and the scalar kernel.
+  SimdGuard guard;
+  const int64_t m = 29, k = 23, n = 50;
+  std::vector<float> a = Fill(m * k, 23), b = Fill(m * n, 24);
+  std::vector<float> c0 = Fill(k * n, 25);
+  simd::SetSimdEnabled(false);
+  std::vector<float> scalar = c0;
+  simd::MatMulRowsTN(a.data(), b.data(), scalar.data(), m, k, n, 0, k);
+  simd::SetSimdEnabled(true);
+  std::vector<float> whole = c0;
+  simd::MatMulRowsTN(a.data(), b.data(), whole.data(), m, k, n, 0, k);
+  ExpectBitwiseEqual(scalar, whole, "tn vs scalar");
+  for (int64_t piece : {int64_t{1}, int64_t{3}, int64_t{5}, int64_t{9}}) {
+    std::vector<float> pieces = c0;
+    for (int64_t r0 = 0; r0 < k; r0 += piece) {
+      simd::MatMulRowsTN(a.data(), b.data(), pieces.data(), m, k, n, r0,
+                         std::min<int64_t>(k, r0 + piece));
+    }
+    ExpectBitwiseEqual(whole, pieces, "tn row-range composition");
+  }
 }
 
 TEST(SimdParityTest, MatMulTile) {

@@ -415,6 +415,29 @@ TEST(StreamSessionTest, DriftMatchesOfflineReEvalOnTwoAdvances) {
   EXPECT_EQ(session.drift().advances(), 2);
 }
 
+TEST(StreamSessionTest, IngestLeavesNothingPooled) {
+  // Ingest shapes grow with the history, so buffers pooled by one ingest
+  // would never be reused; each ingest trims them instead of letting them
+  // pile up to the global-tier cap.
+  const bool pool_was = BufferPoolEnabled();
+  SetBufferPoolEnabled(true);
+  StreamConfig stream = SmallStreamConfig();
+  StreamGenerator gen(stream);
+  TkgDataset dataset = gen.WarmupDataset();
+  LogClModel model(&dataset, SmallModelConfig());
+  FitModel(&model, 1, 0.01f);
+  StreamSessionOptions options;
+  options.eval_queries = 8;
+  {
+    StreamSession session(&model, stream.warmup_timestamps, options);
+    for (int ingest = 0; ingest < 3; ++ingest) {
+      session.IngestSnapshot(gen.NextSnapshot());
+      EXPECT_EQ(PoolSnapshot().pooled_bytes, 0u) << "ingest " << ingest;
+    }
+  }
+  SetBufferPoolEnabled(pool_was);
+}
+
 TEST(StreamSessionTest, MmapWritebackPersistsFineTunedRows) {
   StreamConfig stream = SmallStreamConfig();
   StreamGenerator gen(stream);
