@@ -6,6 +6,7 @@
 #include "common/observability.h"
 #include "dist/protocol.h"
 #include "eval/ranking.h"
+#include "tensor/buffer_pool.h"
 
 namespace logcl {
 namespace dist {
@@ -13,6 +14,9 @@ namespace {
 
 /// Poll tick for accept/read so Stop() takes effect promptly.
 constexpr int64_t kServeTickMs = 250;
+/// Connections answered at once; a router holds two per worker. Further
+/// connections are closed on accept until one ends.
+constexpr size_t kMaxConnections = 8;
 
 Counter* RequestsCounter() {
   static Counter* c = Metrics().GetCounter("logcl.dist.worker_requests");
@@ -81,19 +85,44 @@ Status ReplicaWorker::Start() {
 }
 
 Status ReplicaWorker::Serve() {
+  Status status = Status::Ok();
   while (!stop_.load(std::memory_order_relaxed)) {
+    JoinConnections(/*all=*/false);
     Result<Connection> accepted = listener_.Accept(kServeTickMs);
     if (!accepted.ok()) {
       if (IsTimeout(accepted.status())) continue;  // idle tick
-      return accepted.status();
+      status = accepted.status();
+      break;
     }
-    Status conn_status = HandleConnection(std::move(accepted).value());
-    if (!conn_status.ok() && !IsTimeout(conn_status)) {
-      // A dropped client recycles to accept; that is not a worker failure.
-      continue;
+    if (connections_.size() >= kMaxConnections) continue;  // closes it
+    ConnectionThread& slot = connections_.emplace_back();
+    slot.thread = std::thread(
+        [this, &slot, conn = std::move(accepted).value()]() mutable {
+          // A dropped client ends only its own thread; that is not a
+          // worker failure.
+          HandleConnection(std::move(conn));
+          slot.done.store(true, std::memory_order_release);
+        });
+  }
+  stop_.store(true, std::memory_order_relaxed);
+  JoinConnections(/*all=*/true);
+  return status;
+}
+
+void ReplicaWorker::JoinConnections(bool all) {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (all || it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
     }
   }
-  return Status::Ok();
+}
+
+std::shared_ptr<const EngineSnapshot> ReplicaWorker::Active() {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return active_;
 }
 
 Status ReplicaWorker::HandleConnection(Connection conn) {
@@ -137,7 +166,7 @@ std::vector<uint8_t> ReplicaWorker::HandleRequest(
       writer.PutU32(static_cast<uint32_t>(MsgType::kHelloAck));
       writer.PutI64(entity_begin_);
       writer.PutI64(entity_end_);
-      writer.PutI64(active_->time());
+      writer.PutI64(Active()->time());
       writer.PutI64(model_->dataset().num_entities());
       return writer.TakeBuffer();
     }
@@ -161,7 +190,8 @@ std::vector<uint8_t> ReplicaWorker::HandleScoreBatch(WireReader* reader) {
   if (!status.ok()) return EncodeError(status);
   // Full-row scoring, response sliced to this worker's entity range (the
   // slicing is what keeps sharded results bitwise equal to unsharded).
-  Tensor scores = active_->ScoreBatch(queries);
+  const std::shared_ptr<const EngineSnapshot> snapshot = Active();
+  Tensor scores = snapshot->ScoreBatch(queries);
   const std::vector<float>& data = scores.data();
   const int64_t num_entities = model_->dataset().num_entities();
   const int64_t width = entity_end_ - entity_begin_;
@@ -174,7 +204,7 @@ std::vector<uint8_t> ReplicaWorker::HandleScoreBatch(WireReader* reader) {
   }
   WireWriter writer;
   writer.PutU32(static_cast<uint32_t>(MsgType::kScoreBatchAck));
-  writer.PutI64(active_->time());
+  writer.PutI64(snapshot->time());
   writer.PutI64(entity_begin_);
   writer.PutI64(entity_end_);
   writer.PutF32Array(sliced.data(), sliced.size());
@@ -188,12 +218,13 @@ std::vector<uint8_t> ReplicaWorker::HandleTopK(WireReader* reader) {
   std::vector<ServeQuery> queries;
   status = ReadQueries(reader, model_->dataset(), &queries);
   if (!status.ok()) return EncodeError(status);
-  Tensor scores = active_->ScoreBatch(queries);
+  const std::shared_ptr<const EngineSnapshot> snapshot = Active();
+  Tensor scores = snapshot->ScoreBatch(queries);
   const std::vector<float>& data = scores.data();
   const int64_t num_entities = model_->dataset().num_entities();
   WireWriter writer;
   writer.PutU32(static_cast<uint32_t>(MsgType::kTopKAck));
-  writer.PutI64(active_->time());
+  writer.PutI64(snapshot->time());
   writer.PutU64(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const float* row = data.data() + static_cast<int64_t>(i) * num_entities;
@@ -214,34 +245,58 @@ std::vector<uint8_t> ReplicaWorker::HandleAdvancePrepare(WireReader* reader) {
   std::vector<Quadruple> facts;
   Status status = reader->GetQuadruples(&facts);
   if (!status.ok()) return EncodeError(status);
+  const std::shared_ptr<const EngineSnapshot> base = Active();
   for (const Quadruple& q : facts) {
-    if (q.time != active_->time()) {
+    if (q.time != base->time()) {
       return EncodeError(Status::InvalidArgument(
           "advance fact at t=" + std::to_string(q.time) +
           " does not match the active horizon t=" +
-          std::to_string(active_->time())));
+          std::to_string(base->time())));
     }
     status = ValidateAdvanceFact(model_->dataset(), q);
     if (!status.ok()) return EncodeError(status);
   }
-  staged_ = active_->Advance(std::move(facts));
+  // Built without the lock: requests on other connections keep scoring on
+  // `base` meanwhile.
+  std::shared_ptr<const EngineSnapshot> successor =
+      base->Advance(std::move(facts));
+  const int64_t staged_time = successor->time();
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    staged_ = std::move(successor);
+  }
+  // This thread idles until the next Advance. Its buffers go where the
+  // next build, on this or another worker's control thread, can pop them.
+  SpillThreadBufferCache();
   WireWriter writer;
   writer.PutU32(static_cast<uint32_t>(MsgType::kAdvancePrepareAck));
-  writer.PutI64(staged_->time());
+  writer.PutI64(staged_time);
   return writer.TakeBuffer();
 }
 
 std::vector<uint8_t> ReplicaWorker::HandleAdvanceCommit() {
-  if (staged_ == nullptr) {
-    return EncodeError(
-        Status::FailedPrecondition("commit without a prepared snapshot"));
+  int64_t time = 0;
+  std::shared_ptr<const EngineSnapshot> retired;  // freed after the lock
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    if (staged_ == nullptr) {
+      return EncodeError(
+          Status::FailedPrecondition("commit without a prepared snapshot"));
+    }
+    if (staged_->time() != active_->time() + 1) {
+      staged_.reset();
+      return EncodeError(Status::FailedPrecondition(
+          "prepared snapshot does not follow the active horizon"));
+    }
+    retired = std::move(active_);
+    active_ = std::move(staged_);
+    staged_.reset();
+    time = active_->time();
   }
-  active_ = std::move(staged_);
-  staged_.reset();
   AdvancesCounter()->Increment();
   WireWriter writer;
   writer.PutU32(static_cast<uint32_t>(MsgType::kAdvanceCommitAck));
-  writer.PutI64(active_->time());
+  writer.PutI64(time);
   return writer.TakeBuffer();
 }
 

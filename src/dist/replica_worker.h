@@ -16,18 +16,24 @@
 // holding its horizon gate exclusively across the commits — clients never
 // observe a mixed-horizon fan-out (serving_router.h).
 //
-// The serve loop is single-threaded: one connection at a time, one frame at
-// a time (the router serialises its frames per connection anyway). A frame
-// handler failure answers kError and keeps serving; a dropped client falls
-// back to accept. Stop() (or a kShutdown frame) ends the loop within one
-// ~250ms poll tick.
+// Serve() accepts connections and answers each on its own thread, one frame
+// at a time (the router serialises its frames per connection anyway), up to
+// kMaxConnections at once. The router sends Advance frames on a second
+// connection, so a prepare building its successor never holds up the
+// requests queued behind it on the first. The active and staged snapshots
+// are swapped under a mutex; a request scores on the snapshot that was
+// active when it arrived. A frame handler failure answers kError and keeps
+// serving; a dropped client ends its thread. Stop() (or a kShutdown frame)
+// ends every thread within one ~250ms poll tick.
 
 #ifndef LOGCL_DIST_REPLICA_WORKER_H_
 #define LOGCL_DIST_REPLICA_WORKER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,13 +97,24 @@ class ReplicaWorker {
   std::vector<uint8_t> HandleTopK(WireReader* reader);
   std::vector<uint8_t> HandleAdvancePrepare(WireReader* reader);
   std::vector<uint8_t> HandleAdvanceCommit();
+  std::shared_ptr<const EngineSnapshot> Active();
+
+  /// One accepted connection's thread; `done` is set as it returns.
+  struct ConnectionThread {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  /// Joins the connection threads that finished (all of them when `all`).
+  void JoinConnections(bool all);
 
   const LogClModel* model_;
   ReplicaWorkerOptions options_;
   int64_t entity_begin_ = 0;
   int64_t entity_end_ = 0;
+  std::mutex snapshot_mu_;  // guards active_ and staged_
   std::shared_ptr<const EngineSnapshot> active_;
   std::shared_ptr<const EngineSnapshot> staged_;
+  std::list<ConnectionThread> connections_;  // Serve()'s thread only
   Listener listener_;
   std::string address_;
   std::atomic<bool> stop_{false};

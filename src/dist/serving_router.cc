@@ -73,6 +73,29 @@ Status ParseTopKAck(WireReader* reader, int64_t* horizon,
   return Status::Ok();
 }
 
+// One request/response exchange on `conn`; kError responses come back as
+// the decoded Status.
+Status Exchange(Connection* conn, const std::string& address,
+                const std::vector<uint8_t>& request, uint32_t expected_type,
+                std::vector<uint8_t>* response) {
+  LOGCL_RETURN_IF_ERROR(conn->SendFrame(request));
+  LOGCL_RETURN_IF_ERROR(conn->RecvFrame(response));
+  WireReader reader(*response);
+  uint32_t type = 0;
+  LOGCL_RETURN_IF_ERROR(reader.GetU32(&type));
+  if (static_cast<MsgType>(type) == MsgType::kError) {
+    Status decoded = DecodeError(&reader);
+    return Status(decoded.code(),
+                  "worker " + address + ": " + decoded.message());
+  }
+  if (type != expected_type) {
+    return Status::Internal("worker " + address + " answered type " +
+                            std::to_string(type) + ", expected " +
+                            std::to_string(expected_type));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ServingRouter>> ServingRouter::Connect(
@@ -114,6 +137,10 @@ Result<std::unique_ptr<ServingRouter>> ServingRouter::Connect(
       return Status::FailedPrecondition("worker " + address +
                                         " disagrees on entity count");
     }
+    Result<Connection> control = Connection::Connect(address, io_timeout_ms);
+    if (!control.ok()) return control.status();
+    worker->control = std::move(control).value();
+    worker->control.set_io_timeout_ms(io_timeout_ms);
     router->workers_.push_back(std::move(worker));
   }
   router->horizon_.store(horizon, std::memory_order_relaxed);
@@ -156,22 +183,16 @@ Status ServingRouter::Call(Worker* worker,
                            uint32_t expected_type,
                            std::vector<uint8_t>* response) {
   std::lock_guard<std::mutex> lock(worker->mu);
-  LOGCL_RETURN_IF_ERROR(worker->conn.SendFrame(request));
-  LOGCL_RETURN_IF_ERROR(worker->conn.RecvFrame(response));
-  WireReader reader(*response);
-  uint32_t type = 0;
-  LOGCL_RETURN_IF_ERROR(reader.GetU32(&type));
-  if (static_cast<MsgType>(type) == MsgType::kError) {
-    Status decoded = DecodeError(&reader);
-    return Status(decoded.code(),
-                  "worker " + worker->address + ": " + decoded.message());
-  }
-  if (type != expected_type) {
-    return Status::Internal("worker " + worker->address +
-                            " answered type " + std::to_string(type) +
-                            ", expected " + std::to_string(expected_type));
-  }
-  return Status::Ok();
+  return Exchange(&worker->conn, worker->address, request, expected_type,
+                  response);
+}
+
+Status ServingRouter::ControlCall(Worker* worker,
+                                  const std::vector<uint8_t>& request,
+                                  uint32_t expected_type,
+                                  std::vector<uint8_t>* response) {
+  return Exchange(&worker->control, worker->address, request, expected_type,
+                  response);
 }
 
 Result<std::vector<std::vector<float>>> ServingRouter::ScoreQueries(
@@ -316,8 +337,9 @@ Status ServingRouter::Advance(std::vector<Quadruple> new_facts) {
   for (const auto& worker : workers_) {
     std::vector<uint8_t> response;
     LOGCL_RETURN_IF_ERROR(
-        Call(worker.get(), prepare,
-             static_cast<uint32_t>(MsgType::kAdvancePrepareAck), &response));
+        ControlCall(worker.get(), prepare,
+                    static_cast<uint32_t>(MsgType::kAdvancePrepareAck),
+                    &response));
     WireReader reader(response);
     uint32_t type = 0;
     int64_t staged = 0;
@@ -337,8 +359,9 @@ Status ServingRouter::Advance(std::vector<Quadruple> new_facts) {
   for (size_t i = 0; i < workers_.size(); ++i) {
     std::vector<uint8_t> response;
     Status status =
-        Call(workers_[i].get(), commit,
-             static_cast<uint32_t>(MsgType::kAdvanceCommitAck), &response);
+        ControlCall(workers_[i].get(), commit,
+                    static_cast<uint32_t>(MsgType::kAdvanceCommitAck),
+                    &response);
     if (!status.ok()) {
       if (i > 0) poisoned_.store(true, std::memory_order_relaxed);
       return Status(status.code(),

@@ -22,12 +22,16 @@
 // completes entirely before the first commit or starts entirely after the
 // last one: a response never mixes horizons, and the per-ack horizon echo
 // is asserted to prove it. Requests running during the PREPARE phase simply
-// serve the old horizon — prepare never blocks reads.
+// serve the old horizon — prepare never blocks reads: Advance's frames go
+// over a second, control connection per worker, which the worker answers
+// on its own thread, so a successor build never holds the connection that
+// requests queue on.
 //
 // Thread-safety: all public methods are safe to call concurrently; each
-// worker connection is serialised by its own mutex, so concurrent requests
-// to a sharded fleet pipeline across workers rather than in parallel to the
-// same worker.
+// worker's request connection is serialised by its own mutex, so concurrent
+// requests to a sharded fleet pipeline across workers rather than in
+// parallel to the same worker. The control connections are used only under
+// the Advance mutex.
 
 #ifndef LOGCL_DIST_SERVING_ROUTER_H_
 #define LOGCL_DIST_SERVING_ROUTER_H_
@@ -128,6 +132,7 @@ class ServingRouter {
   struct Worker {
     Connection conn;
     std::mutex mu;  // serialises frames on this connection
+    Connection control;  // Advance's frames; guarded by advance_mu_
     std::string address;
     int64_t entity_begin = 0;
     int64_t entity_end = 0;
@@ -135,11 +140,15 @@ class ServingRouter {
 
   ServingRouter() = default;
 
-  /// One locked request/response exchange with a worker; kError responses
-  /// come back as the decoded Status. On success `response` holds the
-  /// payload and `reader_offset` positions past the type word.
+  /// One locked request/response exchange on a worker's request
+  /// connection; kError responses come back as the decoded Status. On
+  /// success `response` holds the payload.
   Status Call(Worker* worker, const std::vector<uint8_t>& request,
               uint32_t expected_type, std::vector<uint8_t>* response);
+  /// The same exchange on the worker's control connection; the caller
+  /// holds advance_mu_.
+  Status ControlCall(Worker* worker, const std::vector<uint8_t>& request,
+                     uint32_t expected_type, std::vector<uint8_t>* response);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   bool sharded_ = false;
@@ -149,7 +158,8 @@ class ServingRouter {
   // The no-mixed-horizon gate: shared for request fan-outs, exclusive
   // across the commit phase of Advance.
   HorizonGate horizon_mu_;
-  // Serialises whole Advance calls (prepare must not interleave).
+  // Serialises whole Advance calls (prepare must not interleave) and the
+  // control connections they use.
   std::mutex advance_mu_;
   // Set when a partial commit may have left workers on different horizons.
   std::atomic<bool> poisoned_{false};

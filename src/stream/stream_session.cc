@@ -142,9 +142,12 @@ StreamIngestReport StreamSession::IngestSnapshot(
   report.served = now.requests - last_stats_.requests;
   report.shed = now.shed - last_stats_.shed;
   last_stats_ = now;
-  // The next ingest's shapes differ (history grew), so nothing pooled here
-  // would ever be popped again; drop it rather than strand it until the
-  // pool's byte cap. The superseded snapshot's tensors go first.
+  // History-dependent tensor sizes change with every ingest, and the
+  // exact-size pool would keep each superseded size until its byte cap.
+  // The trim drops the whole pool on every thread, serving workers
+  // included, so same-shape buffers (entity x d, parameter-shaped) that
+  // serving would have reused are re-allocated after it. The superseded
+  // snapshot's tensors are released first so they are dropped too.
   stale.reset();
   TrimBufferPool();
   report.seconds = static_cast<double>(MonotonicNowNs() - start) * 1e-9;

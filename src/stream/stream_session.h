@@ -19,9 +19,11 @@
 //                  7. freshness eval — the SAME arrivals re-score on the
 //                     new snapshot; (stale, fresh) MRR feeds the rolling
 //                     DriftTracker (eval/drift.h);
-//                  8. TrimBufferPool — ingest tensor shapes grow with the
-//                     history, so the exact-size pool could never reuse
-//                     this ingest's buffers; they are freed here.
+//                  8. TrimBufferPool — drops the whole pool on every
+//                     thread, serving workers included, so the history-
+//                     dependent sizes this ingest superseded do not pile
+//                     up until the pool's byte cap; same-shape buffers
+//                     are re-allocated on their next use.
 //
 // Query traffic keeps flowing for the entire ingest except the fine-tune
 // span (steps 2-6), during which submissions still enqueue (and still shed

@@ -289,6 +289,34 @@ struct ThreadCache {
     return {buffers, bytes};
   }
 
+  // Hands every cached buffer to the global tier (still counted in
+  // pooled_bytes unless the cap drops them).
+  void Spill() {
+    std::vector<std::vector<float>> spilled;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      for (Slot& slot : front) {
+        if (!slot.buffer.empty()) spilled.push_back(std::move(slot.buffer));
+        slot.buffer.clear();
+        slot.num_elements = 0;
+      }
+      for (auto& [n, list] : buckets) {
+        for (auto& buffer : list) spilled.push_back(std::move(buffer));
+      }
+      buckets.clear();
+      cached_bytes = 0;
+    }
+    int64_t dropped_buffers = 0;
+    int64_t dropped_bytes = 0;
+    for (std::vector<float>& buffer : spilled) {
+      auto [buffers, bytes] = Global().Push(std::move(buffer));
+      dropped_buffers += buffers;
+      dropped_bytes += bytes;
+    }
+    Bump(stats->pooled_buffers, -dropped_buffers);
+    Bump(stats->pooled_bytes, -dropped_bytes);
+  }
+
   ~ThreadCache() {
     // Leave the live list first, so no TrimBufferPool can reach this cache
     // once it starts dying.
@@ -298,24 +326,9 @@ struct ThreadCache {
       registry.caches.erase(std::find(registry.caches.begin(),
                                       registry.caches.end(), this));
     }
-    // Keep the buffers pooled: hand them to the global tier (still counted
-    // in pooled_bytes unless the cap drops them). The stats block stays
-    // registered so this thread's counts survive.
-    int64_t dropped_buffers = 0;
-    int64_t dropped_bytes = 0;
-    auto spill = [&](std::vector<float>&& buffer) {
-      auto [buffers, bytes] = Global().Push(std::move(buffer));
-      dropped_buffers += buffers;
-      dropped_bytes += bytes;
-    };
-    for (Slot& slot : front) {
-      if (!slot.buffer.empty()) spill(std::move(slot.buffer));
-    }
-    for (auto& [n, list] : buckets) {
-      for (auto& buffer : list) spill(std::move(buffer));
-    }
-    Bump(stats->pooled_buffers, -dropped_buffers);
-    Bump(stats->pooled_bytes, -dropped_bytes);
+    // Keep the buffers pooled. The stats block stays registered so this
+    // thread's counts survive.
+    Spill();
   }
 };
 
@@ -491,6 +504,8 @@ void TrimBufferPool() {
   Bump(stats.pooled_buffers, -buffers);
   Bump(stats.pooled_bytes, -bytes);
 }
+
+void SpillThreadBufferCache() { LocalCache().Spill(); }
 
 std::string BufferPoolStats::ToString() const {
   return StrFormat(

@@ -15,7 +15,10 @@
 //    tier; its lock is uncontended except during TrimBufferPool) in front of
 //    a mutex-protected global map. Worker threads recycle their kernel
 //    scratch entirely within their own cache; the global tier hands buffers
-//    across threads with the mutex providing the happens-before edge.
+//    across threads with the mutex providing the happens-before edge. A
+//    thread's cache moves to the global tier when the thread exits or calls
+//    SpillThreadBufferCache (a replica worker's control thread does after
+//    each Advance build, so co-located workers' builds share buffers).
 //  - Determinism contract: results are bitwise identical with the pool on or
 //    off, at any thread count. This holds because every kUninit acquisition
 //    is fully overwritten before it is read (LOGCL_POISON_UNINIT=1 fills
@@ -32,8 +35,10 @@
 //    process without bound. Exceeding the cap drops all pooled buffers; the
 //    live working set re-pools within an iteration. The cap is the
 //    backstop: StreamSession::IngestSnapshot calls TrimBufferPool after
-//    every ingest, so a long stream holds no superseded sizes at all and
-//    its memory stays flat instead of climbing toward the cap.
+//    every ingest. That empties the pool on every thread, serving workers
+//    included, and drops the same-shape buffers serving would have reused
+//    along with the superseded sizes, so a long stream's memory stays flat
+//    instead of climbing toward the cap.
 //  - Env toggles: LOGCL_TENSOR_POOL=0 restores malloc-per-op (Acquire always
 //    allocates fresh zeroed storage, Release frees); LOGCL_POISON_UNINIT=1
 //    enables the poison-fill debug mode; LOGCL_POOL_MAX_MB=0 removes the
@@ -121,6 +126,12 @@ void ResetPoolStats();
 /// cache; afterwards pooled_buffers and pooled_bytes read 0 (with no
 /// concurrent releases).
 void TrimBufferPool();
+
+/// Moves the calling thread's cached buffers to the global tier, where any
+/// thread can pop them. For a thread that allocates in bursts between idle
+/// spans (a replica worker's Advance builds), so its buffers serve the next
+/// burst on another thread instead of idling in its cache.
+void SpillThreadBufferCache();
 
 /// RAII pooled scratch buffer for kernel internals: acquires on
 /// construction, releases on scope exit. Movable, not copyable.

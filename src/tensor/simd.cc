@@ -564,72 +564,26 @@ LOGCL_TARGET_AVX2 void MatMulRowsNN(const float* a, const float* b, float* c,
 }
 
 // TN is NN with A read column-wise: the A operand of output row i is the
-// stride-k column a[. * k + i]. PanelTN reads those columns in place; it
-// serves outputs narrower than one 24-wide block and the 1-3-row remainder
-// of a shard.
-template <int R>
-LOGCL_TARGET_AVX2 inline void PanelTN(const float* a, int64_t k, int64_t i0,
-                                      const float* b, float* c, int64_t m,
-                                      int64_t n) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m256 acc[R];
-    for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
-    for (int64_t l = 0; l < m; ++l) {
-      const __m256 bv = _mm256_loadu_ps(b + l * n + j);
-      const float* acol = a + l * k + i0;
-      for (int r = 0; r < R; ++r) {
-        acc[r] = _mm256_add_ps(acc[r],
-                               _mm256_mul_ps(_mm256_set1_ps(acol[r]), bv));
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      float* cp = c + r * n + j;
-      _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), acc[r]));
-    }
-  }
-  for (; j < n; ++j) {
-    for (int r = 0; r < R; ++r) {
-      float acc = 0.0f;
-      for (int64_t l = 0; l < m; ++l) {
-        acc += a[l * k + i0 + r] * b[l * n + j];
-      }
-      c[r * n + j] += acc;
-    }
-  }
-}
-
-// Wide outputs pack the shard's A columns [r0, r0 + rows4) into a
-// contiguous A^T panel (a pure copy) and run the NN tiles over it with the
-// reduction length m: per output element that is the same ascending-l
-// chain PanelTN computes, with 24-wide register tiles instead of 8-wide.
+// stride-k column a[. * k + i]. The shard's columns [r0, r1) are packed into
+// a contiguous A^T panel (a pure copy) and the NN tiles run over it with the
+// reduction length m, so each output element keeps the scalar chain.
 LOGCL_TARGET_AVX2 void MatMulRowsTN(const float* a, const float* b, float* c,
                                     int64_t m, int64_t k, int64_t n,
                                     int64_t r0, int64_t r1) {
-  int64_t i = r0;
-  const int64_t rows4 = n < 24 ? 0 : (r1 - r0) / 4 * 4;
-  if (rows4 > 0) {
-    PooledBuffer at(static_cast<size_t>(rows4) * static_cast<size_t>(m),
-                    BufferFill::kUninit);
-    float* ap = at.data();
-    // 16 reduction steps per block: each panel row receives one cache line
-    // while the 16 source rows stay in L1.
-    for (int64_t l0 = 0; l0 < m; l0 += 16) {
-      const int64_t l1 = std::min(m, l0 + 16);
-      for (int64_t r = 0; r < rows4; ++r) {
-        for (int64_t l = l0; l < l1; ++l) ap[r * m + l] = a[l * k + r0 + r];
-      }
+  const int64_t rows = r1 - r0;
+  if (rows <= 0) return;
+  PooledBuffer at(static_cast<size_t>(rows) * static_cast<size_t>(m),
+                  BufferFill::kUninit);
+  float* ap = at.data();
+  // 16 reduction steps per block: each panel row receives one cache line
+  // while the 16 source rows stay in L1.
+  for (int64_t l0 = 0; l0 < m; l0 += 16) {
+    const int64_t l1 = std::min(m, l0 + 16);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t l = l0; l < l1; ++l) ap[r * m + l] = a[l * k + r0 + r];
     }
-    PanelsNN(ap, m, b, c + r0 * n, m, n, rows4);
-    i += rows4;
   }
-  for (; i + 4 <= r1; i += 4) PanelTN<4>(a, k, i, b, c + i * n, m, n);
-  switch (r1 - i) {
-    case 3: PanelTN<3>(a, k, i, b, c + i * n, m, n); break;
-    case 2: PanelTN<2>(a, k, i, b, c + i * n, m, n); break;
-    case 1: PanelTN<1>(a, k, i, b, c + i * n, m, n); break;
-    default: break;
-  }
+  PanelsNN(ap, m, b, c + r0 * n, m, n, rows);
 }
 
 LOGCL_TARGET_AVX2 void MatMulTile(const float* a, int64_t lda, const float* b,

@@ -159,6 +159,38 @@ TEST(BufferPoolThreadsTest, BufferReleasedOnOneThreadIsReusedOnAnother) {
   ReleaseBuffer(std::move(buffer));
 }
 
+TEST(BufferPoolThreadsTest, SpilledCacheIsReusedWhileItsThreadLives) {
+  PoolModeGuard pool(true);
+  PoisonModeGuard poison(false);  // asserts stale contents survive kUninit
+  TrimBufferPool();
+  constexpr size_t kSize = 7779;
+  std::atomic<int> stage{0};
+  std::thread producer([&] {
+    std::vector<float> buffer = AcquireBuffer(kSize, BufferFill::kZero);
+    const float* storage = buffer.data();
+    for (float& v : buffer) v = 42.0f;
+    ReleaseBuffer(std::move(buffer));
+    SpillThreadBufferCache();
+    // The cache is empty now: the same size comes back from the global
+    // tier, then goes there again.
+    std::vector<float> again = AcquireBuffer(kSize, BufferFill::kUninit);
+    EXPECT_EQ(again.data(), storage);
+    ReleaseBuffer(std::move(again));
+    SpillThreadBufferCache();
+    stage.store(1);
+    while (stage.load() != 2) std::this_thread::yield();
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  // The producer is still alive, so only the spill can have handed its
+  // buffer over.
+  std::vector<float> buffer = AcquireBuffer(kSize, BufferFill::kUninit);
+  for (float v : buffer) ASSERT_EQ(v, 42.0f);
+  ReleaseBuffer(std::move(buffer));
+  stage.store(2);
+  producer.join();
+  EXPECT_EQ(PoolSnapshot().pooled_bytes, kSize * sizeof(float));
+}
+
 TEST(BufferPoolThreadsTest, ConcurrentAcquireReleaseIsRaceFree) {
   PoolModeGuard pool(true);
   constexpr int kThreads = 4;

@@ -410,6 +410,70 @@ TEST(DistServingTest, WorkerRejectsBadRequestsWithStatusNotCrash) {
   EXPECT_TRUE(worker.Stop().ok());
 }
 
+// The horizon a worker reports in its kHelloAck.
+int64_t HelloHorizon(Connection* conn) {
+  WireWriter hello;
+  hello.PutU32(static_cast<uint32_t>(MsgType::kHello));
+  EXPECT_TRUE(conn->SendFrame(hello.buffer()).ok());
+  std::vector<uint8_t> response;
+  Status received = conn->RecvFrame(&response);
+  EXPECT_TRUE(received.ok()) << received.message();
+  if (!received.ok()) return -1;
+  WireReader reader(response);
+  uint32_t type = 0;
+  int64_t begin = 0, end = 0, horizon = -1;
+  EXPECT_TRUE(reader.GetU32(&type).ok());
+  EXPECT_EQ(static_cast<MsgType>(type), MsgType::kHelloAck);
+  EXPECT_TRUE(reader.GetI64(&begin).ok());
+  EXPECT_TRUE(reader.GetI64(&end).ok());
+  EXPECT_TRUE(reader.GetI64(&horizon).ok());
+  return horizon;
+}
+
+// A prepare open on one connection must not hold up requests on another:
+// the router sends Advance frames on a control connection of their own.
+TEST(DistServingTest, WorkerAnswersOtherConnectionsWhileAPrepareIsOpen) {
+  ServingFixture fixture;
+  ReplicaWorkerOptions options;
+  options.horizon = fixture.horizon();
+  ReplicaWorker worker(fixture.model(), options);
+  ASSERT_TRUE(worker.StartBackground().ok());
+  Result<Connection> control = Connection::Connect(worker.address());
+  Result<Connection> requests = Connection::Connect(worker.address());
+  ASSERT_TRUE(control.ok());
+  ASSERT_TRUE(requests.ok());
+  requests.value().set_io_timeout_ms(10000);
+
+  WireWriter prepare;
+  prepare.PutU32(static_cast<uint32_t>(MsgType::kAdvancePrepare));
+  prepare.PutQuadruples(fixture.data().FactsAt(fixture.horizon()));
+  ASSERT_TRUE(control.value().SendFrame(prepare.buffer()).ok());
+  // Answered while `control` stays open, at the still-active horizon.
+  EXPECT_EQ(HelloHorizon(&requests.value()), fixture.horizon());
+
+  std::vector<uint8_t> response;
+  ASSERT_TRUE(control.value().RecvFrame(&response).ok());
+  WireReader ack(response);
+  uint32_t type = 0;
+  int64_t staged = 0;
+  ASSERT_TRUE(ack.GetU32(&type).ok());
+  ASSERT_EQ(static_cast<MsgType>(type), MsgType::kAdvancePrepareAck);
+  ASSERT_TRUE(ack.GetI64(&staged).ok());
+  EXPECT_EQ(staged, fixture.horizon() + 1);
+  EXPECT_EQ(HelloHorizon(&requests.value()), fixture.horizon());
+
+  WireWriter commit;
+  commit.PutU32(static_cast<uint32_t>(MsgType::kAdvanceCommit));
+  ASSERT_TRUE(control.value().SendFrame(commit.buffer()).ok());
+  ASSERT_TRUE(control.value().RecvFrame(&response).ok());
+  WireReader commit_ack(response);
+  ASSERT_TRUE(commit_ack.GetU32(&type).ok());
+  ASSERT_EQ(static_cast<MsgType>(type), MsgType::kAdvanceCommitAck);
+  EXPECT_EQ(HelloHorizon(&requests.value()), fixture.horizon() + 1);
+
+  EXPECT_TRUE(worker.Stop().ok());
+}
+
 TEST(DistServingTest, RouterRejectsInconsistentFleets) {
   ServingFixture fixture;
   const int64_t num_entities = fixture.data().num_entities();
