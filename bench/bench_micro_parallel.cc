@@ -1,6 +1,6 @@
 // Micro-benchmarks for the parallel runtime: ParallelFor dispatch overhead,
 // the blocked matmul kernel against the original (seed) serial kernel, the
-// inter-op backward engine on a branchy graph, and the autograd graph
+// backward tape replay on a branchy graph, and the autograd graph
 // collection data structures (epoch marks + counting order vs. the hash-set
 // + sort approach they replaced).
 
@@ -94,15 +94,12 @@ BENCHMARK(BM_MatMulBlocked)
 // Backward over a diamond graph: one shared input feeding `branches`
 // independent MatMul + Tanh towers re-joined into a scalar loss. The graph
 // is built once; each iteration replays the tape. Args are
-// {branches, threads, interop}: the {_, N, 0} rows are the serial engine at
-// N threads (intra-op only), the {_, N, 1} rows add inter-op scheduling of
-// the independent branches on top.
+// {branches, threads}; threads only reach the kernels inside each backward
+// closure.
 void BM_BackwardDiamond(benchmark::State& state) {
   const int branches = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   SetNumThreads(threads);
-  const bool previous_interop = InterOpEnabled();
-  SetInterOpEnabled(state.range(2) != 0);
   Rng rng(42);
   Tensor x = Tensor::RandomNormal(Shape{32, 64}, 0.5f, &rng,
                                   /*requires_grad=*/true);
@@ -122,17 +119,13 @@ void BM_BackwardDiamond(benchmark::State& state) {
     benchmark::DoNotOptimize(x.grad().data());
   }
   state.SetItemsProcessed(state.iterations() * branches);
-  SetInterOpEnabled(previous_interop);
   SetNumThreads(0);
 }
 BENCHMARK(BM_BackwardDiamond)
-    ->Args({8, 1, 0})
-    ->Args({8, 1, 1})
-    ->Args({8, 4, 0})
-    ->Args({8, 4, 1})
-    ->Args({16, 4, 0})
-    ->Args({16, 4, 1})
-    ->Args({16, 8, 1});
+    ->Args({8, 1})
+    ->Args({8, 4})
+    ->Args({16, 4})
+    ->Args({16, 8});
 
 // Graph-collection bookkeeping in isolation, on plain structs mirroring the
 // tape: the old unordered_set visited filter + std::sort by sequence vs. the

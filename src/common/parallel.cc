@@ -167,8 +167,6 @@ int GetNumThreads() { return ThreadPool::Instance().num_threads(); }
 
 void SetNumThreads(int n) { ThreadPool::Instance().SetThreads(n); }
 
-bool InParallelRegion() { return tls_in_parallel_region; }
-
 namespace internal_parallel {
 
 void RunChunks(int64_t num_chunks,

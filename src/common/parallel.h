@@ -45,12 +45,6 @@ int GetNumThreads();
 /// called while a parallel region is running.
 void SetNumThreads(int n);
 
-/// True while the calling thread is executing inside a parallel region (a
-/// pool-dispatched ParallelFor/RunChunks body). Nested parallel calls run
-/// inline in that state; the autograd engine checks it so a Backward()
-/// issued from inside a kernel never tries to start a pooled phase.
-bool InParallelRegion();
-
 namespace internal_parallel {
 
 /// Executes chunk_fn(c) for c in [0, num_chunks), distributing chunks over

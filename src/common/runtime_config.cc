@@ -60,7 +60,6 @@ RuntimeConfig RuntimeConfig::FromEnvironment() {
   config.pool_max_mb = ParseIntFlag(std::getenv("LOGCL_POOL_MAX_MB"), 0,
                                     INT64_MAX >> 20, config.pool_max_mb);
   config.simd = ParseBoolFlag(std::getenv("LOGCL_SIMD"), config.simd);
-  config.interop = ParseBoolFlag(std::getenv("LOGCL_INTEROP"), config.interop);
   std::string quant = Lower(EnvString("LOGCL_QUANT"));
   if (quant == "bf16" || quant == "int8") {
     config.quant = quant;
@@ -93,8 +92,6 @@ std::vector<RuntimeConfigEntry> EffectiveConfig() {
                      "1024", "MiB cap on the global pooled free lists"});
   entries.push_back({"LOGCL_SIMD", OnOff(c.simd), "on",
                      "runtime-dispatched AVX2/NEON kernel tables"});
-  entries.push_back({"LOGCL_INTEROP", OnOff(c.interop), "on",
-                     "multi-threaded ready-queue autograd engine"});
   entries.push_back({"LOGCL_QUANT", c.quant, "fp32",
                      "default snapshot scoring precision"});
   entries.push_back({"LOGCL_OBSERVABILITY", OnOff(c.observability), "on",

@@ -1,7 +1,7 @@
 // RuntimeConfig: one typed snapshot of every LOGCL_* environment knob.
 //
 // Before this header existed each subsystem parsed its own env var with its
-// own lazily-initialised static (pool, SIMD, inter-op, quantization,
+// own lazily-initialised static (pool, SIMD, quantization,
 // observability, ...), each with slightly different
 // accepted spellings. RuntimeConfig::Get() reads the whole environment ONCE
 // (on first access from any subsystem) into an immutable snapshot with one
@@ -54,12 +54,10 @@ struct RuntimeConfig {
   /// in ever-new size buckets). Default 1024.
   int64_t pool_max_mb = 1024;
 
-  // --- Kernels and executors (tensor/) ------------------------------------
+  // --- Kernels (tensor/simd.h) -------------------------------------------
   /// LOGCL_SIMD: runtime-dispatched AVX2/NEON kernel tables (bitwise-equal
   /// to scalar). Default on.
   bool simd = true;
-  /// LOGCL_INTEROP: multi-threaded ready-queue autograd engine. Default on.
-  bool interop = true;
 
   // --- Serving (serve/) ---------------------------------------------------
   /// LOGCL_QUANT: default snapshot scoring precision ("fp32" | "bf16" |

@@ -1,57 +1,23 @@
-// Reverse-mode autograd executor. Two drains of the same schedule:
-//
-//  - Serial replay (LOGCL_INTEROP=0, one-thread pools, nested calls, tiny
-//    graphs): backward closures run in descending creation order — exactly
-//    the pre-engine tape replay, bit for bit.
-//  - Inter-op engine (default): a dependency-counting ready-queue executor
-//    in the style of torch's autograd engine, drained by the shared thread
-//    pool, so independent branches (local vs global encoder, per-snapshot
-//    R-GCN stacks, per-term contrastive losses) execute backward
-//    concurrently. It composes with intra-op parallelism grain-aware:
-//    whenever the queue collapses to a single runnable node the pooled
-//    phase hands that node back to the calling thread, where its kernels
-//    regain full ParallelFor threading; while the queue is deep, nodes run
-//    on pool threads with their kernels inlined (nested parallel calls run
-//    inline by the PR 1 contract, and ParallelReduce's fixed chunking keeps
-//    every reduction bitwise thread-count-invariant either way).
+// Reverse-mode autograd executor: a serial tape replay. Backward collects
+// the requires-grad graph reachable from the loss and runs its backward
+// closures in descending creation order. Parallelism lives inside the
+// kernels each closure calls (ParallelFor / ParallelReduce with fixed
+// chunking), not between closures.
 //
 // Determinism. Accumulating a multi-consumer node's grad is a chain of
 // in-place floating-point adds, so the result bits depend on the order the
-// consumers run. Buffering per-consumer contributions and reducing them in
-// fixed child order (the obvious scheme) can NOT reproduce the serial bits:
-// backward kernels fuse compute and accumulate in place, so serial produces
-// ((g + t_a) + t_b) while a buffered reduction produces g + ((0 + t_a) +
-// t_b), and fp addition is not associative. Instead the engine schedules
-// the accumulation ORDER: for every parent P its distinct consumers form a
-// chain in descending creation order (= the serial execution order), and a
-// node becomes ready only when it is the next pending element of every one
-// of its parents' chains. Disjoint branches still overlap, but writers to
-// any single grad buffer are totally ordered exactly as the serial replay
-// orders them, so every add sees bit-identical operands and the engine is
-// bitwise-equal to the serial path at any thread count. Every chain edge
-// points from a higher sequence number to a lower one, so the dependency
-// graph is acyclic and the highest-sequence pending node is always ready:
-// no deadlock, guaranteed progress.
-//
-// Grad recycling (PR 3) moves from "replay order implies all consumers ran"
-// to the dependency counts themselves: a node's readiness required every
-// chain containing it to have drained, i.e. all writers into its grad are
-// done, so the buffer is released right after its backward closure — the
-// same release point as the serial replay.
+// consumers run. The replay fixes that order to descending creation order
+// on every call, and every kernel it calls is bitwise thread-count
+// invariant, so the grads are identical at any LOGCL_NUM_THREADS.
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/observability.h"
-#include "common/runtime_config.h"
-#include "common/parallel.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/tensor.h"
 
@@ -60,19 +26,6 @@ namespace {
 
 using Node = internal_tensor::TensorNode;
 
-constexpr uint32_t kNoIndex = 0xffffffffu;
-
-// Graphs with fewer executable nodes than this run serially even with
-// inter-op enabled: pool dispatch costs more than the whole replay.
-constexpr size_t kMinInterOpNodes = 16;
-
-bool DefaultInterOp() { return RuntimeConfig::Get().interop; }
-
-std::atomic<bool>& InterOpFlag() {
-  static std::atomic<bool> enabled{DefaultInterOp()};
-  return enabled;
-}
-
 // Epoch source for the visited marks stamped on TensorNode: a node is part
 // of the current traversal iff its visit_epoch equals the pass's epoch, so
 // collection needs no per-call hash set and no clearing pass.
@@ -80,39 +33,22 @@ std::atomic<uint64_t> g_visit_epoch{0};
 
 struct AutogradCounters {
   Counter* backwards;
-  Counter* interop_backwards;
   Counter* nodes;
-  Counter* inline_nodes;
-  Counter* pooled_nodes;
-  Counter* pooled_phases;
-  Counter* serial_handoffs;
-  Counter* idle_waits;
-  Histogram* ready_depth;
-  Histogram* concurrent;
 };
 
 AutogradCounters& Am() {
   static AutogradCounters m{
       Metrics().GetCounter("logcl.autograd.backwards"),
-      Metrics().GetCounter("logcl.autograd.interop_backwards"),
       Metrics().GetCounter("logcl.autograd.nodes"),
-      Metrics().GetCounter("logcl.autograd.inline_nodes"),
-      Metrics().GetCounter("logcl.autograd.pooled_nodes"),
-      Metrics().GetCounter("logcl.autograd.pooled_phases"),
-      Metrics().GetCounter("logcl.autograd.serial_handoffs"),
-      Metrics().GetCounter("logcl.autograd.idle_waits"),
-      Metrics().GetHistogram("logcl.autograd.ready_depth"),
-      Metrics().GetHistogram("logcl.autograd.concurrent"),
   };
   return m;
 }
 
 // Collects the reachable requires-grad graph from `root` (iterative DFS;
 // long snapshot histories make graphs deep, so no recursion). Stamps
-// visit_epoch and engine_index on every node; nodes[i]->engine_index == i.
+// visit_epoch on every node.
 void CollectGraph(Node* root, uint64_t epoch, std::vector<Node*>* nodes) {
   root->visit_epoch = epoch;
-  root->engine_index = 0;
   nodes->push_back(root);
   std::vector<Node*> stack = {root};
   while (!stack.empty()) {
@@ -122,7 +58,6 @@ void CollectGraph(Node* root, uint64_t epoch, std::vector<Node*>* nodes) {
       Node* p = parent.get();
       if (!p->requires_grad || p->visit_epoch == epoch) continue;
       p->visit_epoch = epoch;
-      p->engine_index = static_cast<uint32_t>(nodes->size());
       nodes->push_back(p);
       stack.push_back(p);
     }
@@ -179,247 +114,6 @@ void RunSerial(const std::vector<Node*>& order) {
   }
 }
 
-// Per-pass dependency schedule, all side arrays indexed by engine_index.
-// chain_items[chain_begin[p] .. chain_begin[p+1]) lists parent p's distinct
-// consumers in descending creation order; chain_pos[p] is how far that
-// chain has drained.
-struct Schedule {
-  std::vector<uint32_t> deps;
-  std::vector<uint32_t> chain_begin;  // CSR offsets, size N+1
-  std::vector<uint32_t> chain_items;
-  std::vector<uint32_t> chain_pos;
-};
-
-void BuildSchedule(const std::vector<Node*>& nodes,
-                   const std::vector<Node*>& order, uint64_t epoch,
-                   Schedule* s) {
-  const uint32_t n = static_cast<uint32_t>(nodes.size());
-  s->deps.assign(n, 0);
-  s->chain_pos.assign(n, 0);
-  s->chain_begin.assign(n + 1, 0);
-  // `last` dedupes repeated operand slots within one consumer (Add(a, a)
-  // executes once, so it occupies one chain position, not two).
-  std::vector<uint32_t> last(n, kNoIndex);
-  auto for_each_parent = [&](Node* consumer, auto&& fn) {
-    const uint32_t ci = consumer->engine_index;
-    for (const auto& parent : consumer->parents) {
-      Node* p = parent.get();
-      if (!p->requires_grad || p->visit_epoch != epoch) continue;
-      const uint32_t pi = p->engine_index;
-      if (last[pi] == ci) continue;
-      last[pi] = ci;
-      fn(pi, ci);
-    }
-  };
-  for (Node* c : order) {
-    for_each_parent(c,
-                    [&](uint32_t pi, uint32_t) { ++s->chain_begin[pi + 1]; });
-  }
-  for (uint32_t i = 0; i < n; ++i) s->chain_begin[i + 1] += s->chain_begin[i];
-  s->chain_items.resize(s->chain_begin[n]);
-  // Iterating `order` (descending sequence) makes each chain the serial
-  // execution order of that parent's consumers. A consumer appended at a
-  // non-head chain position must wait for its chain predecessor (one dep
-  // per such parent); a node with any consumers must wait for its own chain
-  // to drain (one grad-ready dep) before its backward may run.
-  std::fill(last.begin(), last.end(), kNoIndex);
-  std::vector<uint32_t> fill(s->chain_begin.begin(), s->chain_begin.end() - 1);
-  for (Node* c : order) {
-    for_each_parent(c, [&](uint32_t pi, uint32_t ci) {
-      const uint32_t pos = fill[pi]++;
-      s->chain_items[pos] = ci;
-      if (pos != s->chain_begin[pi]) ++s->deps[ci];
-    });
-  }
-  for (Node* x : order) {
-    const uint32_t xi = x->engine_index;
-    if (s->chain_begin[xi + 1] != s->chain_begin[xi]) ++s->deps[xi];
-  }
-}
-
-class InterOpEngine {
- public:
-  InterOpEngine(const std::vector<Node*>& nodes, uint64_t epoch, Schedule s,
-                uint32_t num_exec)
-      : nodes_(nodes), epoch_(epoch), s_(std::move(s)), remaining_(num_exec) {}
-
-  void Drain(std::vector<uint32_t> ready) {
-    while (true) {
-      if (ready.empty()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        LOGCL_CHECK_EQ(remaining_, 0u)
-            << "autograd engine stalled with pending nodes";
-        break;
-      }
-      if (ready.size() == 1) {
-        // Inline mode: the single runnable node gets the calling thread,
-        // so its kernels keep full intra-op ParallelFor threading.
-        const uint32_t idx = ready.back();
-        ready.pop_back();
-        ExecNode(idx);
-        ++stat_inline_nodes_;
-        std::lock_guard<std::mutex> lock(mu_);
-        --remaining_;
-        CompleteLocked(idx, &ready);
-        continue;
-      }
-      // Pooled phase: every pool thread drains the shared ready stack.
-      ++stat_pooled_phases_;
-      const uint32_t handoff = DrainPooled(&ready);
-      if (handoff == kNoIndex) break;
-      ++stat_serial_handoffs_;
-      ready.push_back(handoff);  // loop re-enters inline mode
-    }
-    FlushStats();
-  }
-
- private:
-  // Runs one pooled phase. Returns the handoff node when the phase
-  // collapsed back to a single runnable node, kNoIndex when all nodes
-  // finished.
-  uint32_t DrainPooled(std::vector<uint32_t>* ready) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ready_.swap(*ready);
-      stop_ = false;
-      handoff_ = kNoIndex;
-    }
-    internal_parallel::RunChunks(GetNumThreads(),
-                                 [this](int64_t) { DrainLoop(); });
-    LOGCL_CHECK(ready_.empty());
-    LOGCL_CHECK_EQ(running_, 0);
-    return handoff_;
-  }
-
-  void DrainLoop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (stop_) return;
-      if (ready_.empty()) {
-        if (running_ == 0) {
-          // Progress invariant: with nothing running, a pending node would
-          // imply a ready node (the highest-sequence pending node has no
-          // unfinished prerequisites), so the phase is complete.
-          LOGCL_CHECK_EQ(remaining_, 0u)
-              << "autograd engine stalled with pending nodes";
-          stop_ = true;
-          cv_.notify_all();
-          return;
-        }
-        ++stat_idle_waits_;
-        cv_.wait(lock, [&] { return stop_ || !ready_.empty(); });
-        continue;
-      }
-      if (ready_.size() == 1 && running_ == 0) {
-        // Serial handoff: one runnable node and nothing in flight. Inside
-        // this pooled region its kernels would run single-threaded (nested
-        // parallel calls inline), so give it back to the calling thread
-        // where intra-op parallelism is available again.
-        handoff_ = ready_.back();
-        ready_.pop_back();
-        stop_ = true;
-        cv_.notify_all();
-        return;
-      }
-      const uint32_t idx = ready_.back();
-      ready_.pop_back();
-      ++running_;
-      Am().concurrent->Record(static_cast<uint64_t>(running_));
-      lock.unlock();
-      ExecNode(idx);
-      lock.lock();
-      --running_;
-      --remaining_;
-      ++stat_pooled_nodes_;
-      CompleteLocked(idx, &ready_);
-      if (remaining_ == 0) {
-        stop_ = true;
-        cv_.notify_all();
-        return;
-      }
-      // A completion that made no node ready while nothing else runs would
-      // be a lost-wakeup stall; the progress invariant says it cannot
-      // happen — fail loudly rather than hang if it ever does.
-      LOGCL_CHECK(running_ > 0 || !ready_.empty())
-          << "autograd engine stalled with pending nodes";
-    }
-  }
-
-  void ExecNode(uint32_t idx) {
-    Node* node = nodes_[idx];
-    node->EnsureGrad();
-    node->backward_fn(*node);
-    // Refcounted grad recycling: this node's readiness required every chain
-    // containing it to have drained, so all writers into (and the one
-    // reader of) this grad are done — same release point as RunSerial.
-    ReleaseBuffer(std::move(node->grad));
-  }
-
-  // Chain bookkeeping after node `ci` finished; mu_ must be held. For each
-  // distinct parent, ci sits at the front of the pending chain (that is
-  // what made it runnable); advancing releases either the next consumer in
-  // the chain or, once the chain drains, the parent's own grad-ready dep.
-  void CompleteLocked(uint32_t ci, std::vector<uint32_t>* ready) {
-    Node* node = nodes_[ci];
-    bool pushed = false;
-    for (const auto& parent : node->parents) {
-      Node* p = parent.get();
-      if (!p->requires_grad || p->visit_epoch != epoch_) continue;
-      const uint32_t pi = p->engine_index;
-      uint32_t pos = s_.chain_begin[pi] + s_.chain_pos[pi];
-      if (pos >= s_.chain_begin[pi + 1] || s_.chain_items[pos] != ci) {
-        continue;  // repeated operand slot (Add(a, a)): already advanced
-      }
-      ++s_.chain_pos[pi];
-      ++pos;
-      uint32_t succ;
-      if (pos < s_.chain_begin[pi + 1]) {
-        succ = s_.chain_items[pos];
-      } else if (p->backward_fn) {
-        succ = pi;  // chain drained: the parent's grad is fully accumulated
-      } else {
-        continue;  // leaf: its grad stays live for the optimizer
-      }
-      if (--s_.deps[succ] == 0) {
-        ready->push_back(succ);
-        pushed = true;
-      }
-    }
-    if (pushed) {
-      Am().ready_depth->Record(ready->size());
-      cv_.notify_all();
-    }
-  }
-
-  void FlushStats() {
-    AutogradCounters& m = Am();
-    m.interop_backwards->Increment();
-    m.inline_nodes->Add(stat_inline_nodes_);
-    m.pooled_nodes->Add(stat_pooled_nodes_);
-    m.pooled_phases->Add(stat_pooled_phases_);
-    m.serial_handoffs->Add(stat_serial_handoffs_);
-    m.idle_waits->Add(stat_idle_waits_);
-  }
-
-  const std::vector<Node*>& nodes_;
-  const uint64_t epoch_;
-  Schedule s_;
-
-  std::mutex mu_;  // guards ready_/running_/remaining_/stop_/handoff_/s_
-  std::condition_variable cv_;
-  std::vector<uint32_t> ready_;
-  uint32_t remaining_;
-  int running_ = 0;
-  bool stop_ = false;
-  uint32_t handoff_ = kNoIndex;
-
-  uint64_t stat_inline_nodes_ = 0;
-  uint64_t stat_pooled_nodes_ = 0;
-  uint64_t stat_pooled_phases_ = 0;
-  uint64_t stat_serial_handoffs_ = 0;
-  uint64_t stat_idle_waits_ = 0;
-};
-
 void BackwardImpl(const Tensor& loss, const float* seed, size_t seed_size) {
   LOGCL_TRACE_SCOPE("autograd");
   Node* root = loss.node().get();
@@ -441,34 +135,10 @@ void BackwardImpl(const Tensor& loss, const float* seed, size_t seed_size) {
   }
   Am().backwards->Increment();
   Am().nodes->Add(order.size());
-  if (order.empty()) return;
-
-  const bool interop = InterOpEnabled() && GetNumThreads() > 1 &&
-                       !InParallelRegion() && order.size() >= kMinInterOpNodes;
-  if (!interop) {
-    RunSerial(order);
-    return;
-  }
-  Schedule s;
-  BuildSchedule(nodes, order, epoch, &s);
-  std::vector<uint32_t> ready;
-  for (Node* n : order) {
-    if (s.deps[n->engine_index] == 0) ready.push_back(n->engine_index);
-  }
-  InterOpEngine engine(nodes, epoch, std::move(s),
-                       static_cast<uint32_t>(order.size()));
-  engine.Drain(std::move(ready));
+  RunSerial(order);
 }
 
 }  // namespace
-
-bool InterOpEnabled() {
-  return InterOpFlag().load(std::memory_order_relaxed);
-}
-
-void SetInterOpEnabled(bool enabled) {
-  InterOpFlag().store(enabled, std::memory_order_relaxed);
-}
 
 void Backward(const Tensor& loss) {
   LOGCL_CHECK(loss.defined());

@@ -48,10 +48,8 @@ struct TensorNode {
   uint64_t sequence = 0;
   // Scratch owned by Backward() (tensor/backward.cc): the node is part of
   // the current traversal iff visit_epoch matches the pass's epoch (this
-  // replaces a per-call hash set), and engine_index is its slot in the
-  // engine's side arrays for that pass.
+  // replaces a per-call hash set).
   uint64_t visit_epoch = 0;
-  uint32_t engine_index = 0;
 
   /// Returns data and grad storage to the buffer pool.
   ~TensorNode();
@@ -166,21 +164,15 @@ class Tensor {
 
 /// Runs reverse-mode accumulation from `loss`, which must be a scalar (one
 /// element; seed grad = 1). For a non-scalar root pass an explicit seed
-/// gradient via the two-argument overload. With LOGCL_INTEROP=1 (the
-/// default) and a multi-thread pool, independent branches of the graph run
-/// concurrently on the shared thread pool with results bitwise-identical
-/// to the serial replay at any thread count; see DESIGN.md §15.
+/// gradient via the two-argument overload. Backward closures replay in
+/// descending creation order; the kernels inside them use the shared thread
+/// pool, and the grads are bitwise identical at any thread count (DESIGN.md
+/// §15).
 void Backward(const Tensor& loss);
 
 /// As above with an explicit seed gradient d(objective)/d(loss); seed_grad
 /// must have the same element count as loss.
 void Backward(const Tensor& loss, const Tensor& seed_grad);
-
-/// Inter-op autograd engine toggle (env LOGCL_INTEROP, default on). Even
-/// when enabled, the serial replay is used for one-thread pools, tiny
-/// graphs, and Backward() calls issued from inside a parallel region.
-bool InterOpEnabled();
-void SetInterOpEnabled(bool enabled);
 
 }  // namespace logcl
 

@@ -62,6 +62,13 @@ Result<std::vector<Quadruple>> ReadSplitFile(const std::string& path) {
       }
       *slots[i] = value.value();
     }
+    if (q.time > TkgDataset::kMaxTimestamp) {
+      return Status::InvalidArgument(
+          StrFormat("%s:%lld: timestamp %lld exceeds the limit %lld",
+                    path.c_str(), static_cast<long long>(line_number),
+                    static_cast<long long>(q.time),
+                    static_cast<long long>(TkgDataset::kMaxTimestamp)));
+    }
     facts.push_back(q);
   }
   return facts;

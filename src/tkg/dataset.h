@@ -53,8 +53,15 @@ class TkgDataset {
                                    std::vector<Quadruple> valid,
                                    std::vector<Quadruple> test);
 
+  /// Largest timestamp LoadTsv accepts (2^24). The per-timestamp indexes
+  /// hold one slot for every timestamp up to the largest one, so a bigger
+  /// value in a split file is rejected instead of sizing an allocation.
+  static constexpr int64_t kMaxTimestamp = int64_t{1} << 24;
+
   /// Loads `<dir>/train.txt`, `valid.txt`, `test.txt` with whitespace-
-  /// separated "s r o t" integer rows (the standard benchmark format).
+  /// separated "s r o t" integer rows (the standard benchmark format). A
+  /// malformed row, a negative id or a timestamp above kMaxTimestamp is
+  /// InvalidArgument naming `path:line`.
   static Result<TkgDataset> LoadTsv(const std::string& dir, std::string name);
 
   /// Writes the three split files into `dir` (created by the caller).

@@ -1,13 +1,11 @@
-// Tests for the inter-op autograd engine (tensor/backward.cc): bitwise
-// parity of the ready-queue executor against the serial tape replay across
-// thread counts, the scalar-loss API contract and its explicit-seed escape
-// hatch, the kUninit fresh-grad write path under poison mode (including the
-// -0.0 normalisation the `0.0f + x` form exists for), full-epoch training
-// parity with LOGCL_INTEROP on/off, and the logcl.autograd.* metrics.
+// Tests for the autograd tape replay (tensor/backward.cc): bitwise-identical
+// grads at 1, 4 and 8 threads on shared-operand graphs, the scalar-loss API
+// contract and its explicit-seed escape hatch, the kUninit fresh-grad write
+// path under poison mode (including the -0.0 normalisation the `0.0f + x`
+// form exists for), and the logcl.autograd.* metrics.
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,11 +13,8 @@
 #include "common/observability.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "core/logcl_model.h"
-#include "synth/generator.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
-#include "tensor/optimizer.h"
 #include "tensor/tensor.h"
 
 namespace logcl {
@@ -28,16 +23,6 @@ namespace {
 // Restores the default thread count when a test exits, pass or fail.
 struct ThreadCountGuard {
   ~ThreadCountGuard() { SetNumThreads(0); }
-};
-
-// Forces the inter-op engine on/off for a scope and restores the previous
-// mode (which may come from the LOGCL_INTEROP env var).
-struct InterOpModeGuard {
-  explicit InterOpModeGuard(bool enabled) : previous_(InterOpEnabled()) {
-    SetInterOpEnabled(enabled);
-  }
-  ~InterOpModeGuard() { SetInterOpEnabled(previous_); }
-  bool previous_;
 };
 
 // Scoped poison mode (read-before-write detection on kUninit buffers).
@@ -53,20 +38,17 @@ struct PoisonModeGuard {
 //
 // One shared input feeds `branches` independent MatMul + activation towers
 // whose scalar summaries re-join into a single loss. The shared input has
-// one distinct consumer per branch (>= 8 below), and the towers carry no
-// data dependencies between each other, so the ready queue can run them
-// concurrently — exactly the shape the per-parent consumer chains must
-// serialise into tape order to stay bitwise-equal to the serial replay.
+// one distinct consumer per branch (>= 8 below), so its grad is a chain of
+// in-place adds whose bits depend on the order the consumers run.
 
 struct DiamondResult {
   float loss = 0.0f;
   std::vector<std::vector<float>> grads;  // shared input first, then weights
 };
 
-DiamondResult RunDiamond(int branches, bool interop, int threads) {
+DiamondResult RunDiamond(int branches, int threads) {
   ThreadCountGuard thread_guard;
   SetNumThreads(threads);
-  InterOpModeGuard mode(interop);
   Rng rng(1234);
   Tensor x = Tensor::RandomNormal(Shape{12, 24}, 0.5f, &rng,
                                   /*requires_grad=*/true);
@@ -103,24 +85,18 @@ DiamondResult RunDiamond(int branches, bool interop, int threads) {
   return r;
 }
 
-TEST(AutogradParityTest, DiamondBitwiseIdenticalAcrossInterOpAndThreads) {
-  // >= 8 distinct consumers of the shared tensor, per the engine's
-  // multi-consumer accumulation contract.
-  const DiamondResult reference = RunDiamond(10, /*interop=*/false, 1);
+TEST(AutogradParityTest, DiamondBitwiseIdenticalAcrossThreads) {
+  const DiamondResult reference = RunDiamond(10, 1);
   ASSERT_EQ(reference.grads.size(), 11u);
-  for (bool interop : {false, true}) {
-    for (int threads : {1, 4, 8}) {
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        DiamondResult run = RunDiamond(10, interop, threads);
-        EXPECT_EQ(reference.loss, run.loss)
-            << "interop=" << interop << " threads=" << threads
-            << " repeat=" << repeat;
-        ASSERT_EQ(reference.grads.size(), run.grads.size());
-        for (size_t i = 0; i < reference.grads.size(); ++i) {
-          EXPECT_EQ(reference.grads[i], run.grads[i])
-              << "grad " << i << " interop=" << interop
-              << " threads=" << threads << " repeat=" << repeat;
-        }
+  for (int threads : {1, 4, 8}) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      DiamondResult run = RunDiamond(10, threads);
+      EXPECT_EQ(reference.loss, run.loss)
+          << "threads=" << threads << " repeat=" << repeat;
+      ASSERT_EQ(reference.grads.size(), run.grads.size());
+      for (size_t i = 0; i < reference.grads.size(); ++i) {
+        EXPECT_EQ(reference.grads[i], run.grads[i])
+            << "grad " << i << " threads=" << threads << " repeat=" << repeat;
       }
     }
   }
@@ -128,12 +104,11 @@ TEST(AutogradParityTest, DiamondBitwiseIdenticalAcrossInterOpAndThreads) {
 
 // Randomised DAGs with heavy tensor sharing: every intermediate is eligible
 // as an operand of later ops, so multi-consumer chains of varying length and
-// interleaving appear. Serial and inter-op engines must agree bitwise.
+// interleaving appear. Grads must agree bitwise at every thread count.
 TEST(AutogradParityTest, RandomSharedDagsBitwiseIdentical) {
-  auto run = [](uint64_t seed, bool interop, int threads) {
+  auto run = [](uint64_t seed, int threads) {
     ThreadCountGuard thread_guard;
     SetNumThreads(threads);
-    InterOpModeGuard mode(interop);
     Rng rng(seed);
     const Shape shape{6, 8};
     std::vector<Tensor> pool;
@@ -176,9 +151,9 @@ TEST(AutogradParityTest, RandomSharedDagsBitwiseIdentical) {
     return grads;
   };
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    auto reference = run(seed, /*interop=*/false, 1);
+    auto reference = run(seed, 1);
     for (int threads : {4, 8}) {
-      auto parallel = run(seed, /*interop=*/true, threads);
+      auto parallel = run(seed, threads);
       ASSERT_EQ(reference.size(), parallel.size());
       for (size_t i = 0; i < reference.size(); ++i) {
         EXPECT_EQ(reference[i], parallel[i])
@@ -229,9 +204,9 @@ TEST(AutogradApiTest, ExplicitSeedGradientMatchesScalarFormulation) {
 // With poison mode on, a read of an unwritten pooled buffer surfaces as NaN.
 // The fresh-grad path acquires grads as kUninit and promises full coverage;
 // if any kernel under-writes, the poison leaks into the leaf grads.
-TEST(AutogradFreshGradTest, PoisonModeStaysCleanUnderInterOp) {
+TEST(AutogradFreshGradTest, PoisonModeStaysCleanAtFourThreads) {
   PoisonModeGuard poison(true);
-  DiamondResult r = RunDiamond(9, /*interop=*/true, 4);
+  DiamondResult r = RunDiamond(9, 4);
   EXPECT_TRUE(std::isfinite(r.loss));
   for (const auto& grad : r.grads) {
     for (float g : grad) ASSERT_TRUE(std::isfinite(g)) << "poisoned grad";
@@ -241,82 +216,18 @@ TEST(AutogradFreshGradTest, PoisonModeStaysCleanUnderInterOp) {
 // The fresh kernels write `0.0f + contribution`, not a plain store, so that
 // a -0.0 contribution lands as +0.0 exactly like accumulating into a zeroed
 // buffer. Mul backward with g = -1 against a zero operand produces -0.0
-// contributions; the leaf grad must come out +0.0 on both paths.
+// contributions; the leaf grad must come out +0.0.
 TEST(AutogradFreshGradTest, NegativeZeroContributionsNormalised) {
-  auto leaf_grad = [](bool interop) {
-    InterOpModeGuard mode(interop);
-    Tensor x = Tensor::Full(Shape{3, 7}, 2.0f, /*requires_grad=*/true);
-    Tensor zeros = Tensor::Zeros(Shape{3, 7});
-    // d(loss)/dx = -1 * zeros = -0.0 per element before normalisation.
-    Tensor loss = ops::Scale(ops::SumAll(ops::Mul(x, zeros)), -1.0f);
-    Backward(loss);
-    return x.grad();
-  };
-  for (bool interop : {false, true}) {
-    std::vector<float> grad = leaf_grad(interop);
-    ASSERT_EQ(grad.size(), 21u);
-    for (float g : grad) {
-      EXPECT_EQ(g, 0.0f) << "interop=" << interop;
-      EXPECT_FALSE(std::signbit(g)) << "-0.0 leaked, interop=" << interop;
-    }
-  }
-}
-
-// --- Full-epoch parity ------------------------------------------------------
-
-struct EpochResult {
-  double loss = 0.0;
-  std::vector<std::vector<float>> scores;
-  std::vector<std::vector<float>> params;
-  std::vector<std::vector<float>> grads;
-};
-
-TkgDataset SmallDataset() {
-  SynthConfig config;
-  config.seed = 88;
-  config.num_entities = 16;
-  config.num_relations = 3;
-  config.num_timestamps = 15;
-  return GenerateSyntheticTkg(config);
-}
-
-EpochResult RunEpochInterOp(const TkgDataset& d, bool interop) {
-  InterOpModeGuard mode(interop);
-  LogClConfig config;
-  config.embedding_dim = 8;
-  config.local.history_length = 2;
-  config.local.num_layers = 1;
-  config.global.num_layers = 1;
-  config.decoder.num_kernels = 4;
-  config.seed = 99;
-  LogClModel model(&d, config);
-  AdamOptimizer optimizer(model.Parameters(), {});
-  EpochResult r;
-  r.loss = model.TrainEpoch(&optimizer).loss;
-  r.scores = model.ScoreQueries({{0, 0, 1, 13}, {2, 1, 3, 13}});
-  for (const Tensor& p : model.Parameters()) {
-    r.params.push_back(p.data());
-    r.grads.push_back(p.grad());
-  }
-  return r;
-}
-
-TEST(AutogradEpochParityTest, TrainEpochBitwiseIdenticalInterOpOnOff) {
-  TkgDataset d = SmallDataset();
-  for (int threads : {1, 4}) {
-    ThreadCountGuard thread_guard;
-    SetNumThreads(threads);
-    EpochResult on = RunEpochInterOp(d, /*interop=*/true);
-    EpochResult off = RunEpochInterOp(d, /*interop=*/false);
-    EXPECT_EQ(on.loss, off.loss) << threads << " threads";
-    EXPECT_EQ(on.scores, off.scores) << threads << " threads";
-    ASSERT_EQ(on.params.size(), off.params.size());
-    for (size_t i = 0; i < on.params.size(); ++i) {
-      EXPECT_EQ(on.params[i], off.params[i])
-          << "parameter " << i << " at " << threads << " threads";
-      EXPECT_EQ(on.grads[i], off.grads[i])
-          << "grad " << i << " at " << threads << " threads";
-    }
+  Tensor x = Tensor::Full(Shape{3, 7}, 2.0f, /*requires_grad=*/true);
+  Tensor zeros = Tensor::Zeros(Shape{3, 7});
+  // d(loss)/dx = -1 * zeros = -0.0 per element before normalisation.
+  Tensor loss = ops::Scale(ops::SumAll(ops::Mul(x, zeros)), -1.0f);
+  Backward(loss);
+  std::vector<float> grad = x.grad();
+  ASSERT_EQ(grad.size(), 21u);
+  for (float g : grad) {
+    EXPECT_EQ(g, 0.0f);
+    EXPECT_FALSE(std::signbit(g)) << "-0.0 leaked";
   }
 }
 
@@ -334,35 +245,12 @@ class AutogradMetricsTest : public ::testing::Test {
 
 TEST_F(AutogradMetricsTest, EngineCountersPublished) {
   MetricsSnapshot before = Metrics().Snapshot();
-  RunDiamond(10, /*interop=*/true, 4);
+  RunDiamond(10, 4);
   MetricsSnapshot after = Metrics().Snapshot();
-  EXPECT_GT(after.CounterValue("logcl.autograd.backwards"),
-            before.CounterValue("logcl.autograd.backwards"));
-  EXPECT_GT(after.CounterValue("logcl.autograd.interop_backwards"),
-            before.CounterValue("logcl.autograd.interop_backwards"));
+  EXPECT_EQ(after.CounterValue("logcl.autograd.backwards"),
+            before.CounterValue("logcl.autograd.backwards") + 1);
   EXPECT_GT(after.CounterValue("logcl.autograd.nodes"),
             before.CounterValue("logcl.autograd.nodes"));
-  // Every executed node is attributed to exactly one drain mode.
-  uint64_t executed = after.CounterValue("logcl.autograd.inline_nodes") +
-                      after.CounterValue("logcl.autograd.pooled_nodes");
-  uint64_t executed_before =
-      before.CounterValue("logcl.autograd.inline_nodes") +
-      before.CounterValue("logcl.autograd.pooled_nodes");
-  EXPECT_EQ(executed - executed_before,
-            after.CounterValue("logcl.autograd.nodes") -
-                before.CounterValue("logcl.autograd.nodes"));
-  EXPECT_GE(after.HistogramValue("logcl.autograd.ready_depth").count,
-            before.HistogramValue("logcl.autograd.ready_depth").count);
-}
-
-TEST_F(AutogradMetricsTest, SerialEngineSkipsInterOpCounters) {
-  MetricsSnapshot before = Metrics().Snapshot();
-  RunDiamond(10, /*interop=*/false, 4);
-  MetricsSnapshot after = Metrics().Snapshot();
-  EXPECT_GT(after.CounterValue("logcl.autograd.backwards"),
-            before.CounterValue("logcl.autograd.backwards"));
-  EXPECT_EQ(after.CounterValue("logcl.autograd.interop_backwards"),
-            before.CounterValue("logcl.autograd.interop_backwards"));
 }
 
 }  // namespace

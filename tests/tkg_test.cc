@@ -155,6 +155,28 @@ TEST(TkgDatasetTest, LoadTsvNegativeIdIsInvalidArgument) {
   fs::remove_all(dir);
 }
 
+TEST(TkgDatasetTest, LoadTsvHugeTimestampIsInvalidArgument) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "logcl_tsv_huge_time_test";
+  fs::create_directories(dir);
+  {
+    std::ofstream train(dir / "train.txt");
+    train << "0\t0\t1\t0\n"
+          << "1\t0\t2\t" << TkgDataset::kMaxTimestamp << "\n"
+          << "2\t0\t1\t4000000000000\n";
+  }
+  for (const char* split : {"valid.txt", "test.txt"}) {
+    std::ofstream(dir / split) << "0\t0\t1\t1\n";
+  }
+  Result<TkgDataset> r = TkgDataset::LoadTsv(dir.string(), "huge_time");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  std::string where = (dir / "train.txt").string() + ":3";
+  EXPECT_NE(r.status().ToString().find(where), std::string::npos)
+      << r.status().ToString();
+  fs::remove_all(dir);
+}
+
 TEST(TkgDatasetTest, LoadTsvMissingDirFails) {
   Result<TkgDataset> r = TkgDataset::LoadTsv("/nonexistent/dir", "x");
   EXPECT_FALSE(r.ok());
