@@ -194,45 +194,6 @@ void BM_SnapshotStructureEpoch(benchmark::State& state) {
 BENCHMARK(BM_SnapshotStructureEpoch)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// One epoch's worth of historical-query-subgraph construction over a range
-// of timestamps. Cold samples + dedups every batch's subgraph; warm hits the
-// encoder's cross-epoch cache.
-void BM_QuerySubgraphEpoch(benchmark::State& state) {
-  static TkgDataset* dataset =
-      new TkgDataset(MakePaperDataset(PaperDataset::kIcews14Like));
-  static HistoryIndex* history = new HistoryIndex(*dataset);
-  const bool warm = state.range(0) != 0;
-  Rng rng(6);
-  GlobalEncoder encoder(32, {}, &rng);
-  const int64_t t_begin = 50;
-  const int64_t t_end = 60;
-  std::vector<std::vector<Quadruple>> batches;
-  for (int64_t t = t_begin; t < t_end; ++t) {
-    batches.push_back(dataset->WithInverses(dataset->FactsAt(t)));
-  }
-  if (warm) {
-    for (const auto& batch : batches) {
-      encoder.QuerySubgraph(*history, batch, dataset->num_entities());
-    }
-  }
-  for (auto _ : state) {
-    for (const auto& batch : batches) {
-      if (warm) {
-        benchmark::DoNotOptimize(
-            encoder.QuerySubgraph(*history, batch, dataset->num_entities()));
-      } else {
-        benchmark::DoNotOptimize(encoder.BuildQuerySubgraph(
-            *history, batch, dataset->num_entities()));
-      }
-    }
-  }
-  state.SetLabel(warm ? "warm" : "cold");
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batches.size()));
-}
-BENCHMARK(BM_QuerySubgraphEpoch)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace logcl
 

@@ -19,7 +19,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "serve/quant.h"
-#include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
@@ -278,15 +277,11 @@ BENCHMARK(BM_Conv2x3)->Arg(32)->Arg(128);
 // Chain of small ops in the decoder-input shape (the allocation-bound
 // regime the buffer pool targets): gather entity/relation rows, concat,
 // gate elementwise, slice halves back apart. The data-movement ops do O(n)
-// copying per O(n) of fresh storage, so with malloc-per-op a large share of
-// the runtime is allocation + zero-init — the part the pool elides on
-// kUninit hits. Arg selects the allocator: 0 = malloc per op, 1 = pooled;
-// shapes repeat every iteration, so the pooled run is all hits after the
-// first pass.
+// copying per O(n) of fresh storage, so without the pool a large share of
+// the runtime would be allocation + zero-init — the part the pool elides on
+// kUninit hits. Shapes repeat every iteration, so the run is all hits after
+// the first pass.
 void BM_SmallOpChain(benchmark::State& state) {
-  bool pool = state.range(0) != 0;
-  bool saved_pool = BufferPoolEnabled();
-  SetBufferPoolEnabled(pool);
   constexpr int64_t kBatch = 64;
   constexpr int64_t kDim = 64;
   constexpr int64_t kEntities = 256;
@@ -314,19 +309,14 @@ void BM_SmallOpChain(benchmark::State& state) {
     benchmark::DoNotOptimize(h);
   }
   state.SetItemsProcessed(state.iterations() * kRounds * kBatch * kDim);
-  SetBufferPoolEnabled(saved_pool);
 }
-BENCHMARK(BM_SmallOpChain)->Arg(0)->Arg(1);
+BENCHMARK(BM_SmallOpChain);
 
 // Full training-step variant: same gated-residual shape plus backward and
-// grad zeroing. The pool's relative win is smaller here — kZero grad
-// buffers must be cleared whether pooled or not, and the elementwise
-// kernels are memory-bandwidth-bound — so this row is the honest
+// grad zeroing. kZero grad buffers must be cleared even when pooled, and the
+// elementwise kernels are memory-bandwidth-bound, so this row is the
 // end-to-end-step number next to the allocation-bound chain above.
 void BM_SmallOpChainTrainStep(benchmark::State& state) {
-  bool pool = state.range(0) != 0;
-  bool saved_pool = BufferPoolEnabled();
-  SetBufferPoolEnabled(pool);
   constexpr int64_t kBatch = 256;
   constexpr int64_t kDim = 128;
   constexpr int64_t kEntities = 512;
@@ -356,9 +346,8 @@ void BM_SmallOpChainTrainStep(benchmark::State& state) {
     Backward(ops::SumAll(ops::Mul(h, h)));
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
-  SetBufferPoolEnabled(saved_pool);
 }
-BENCHMARK(BM_SmallOpChainTrainStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_SmallOpChainTrainStep);
 
 void BM_CrossEntropy(benchmark::State& state) {
   int64_t batch = state.range(0);

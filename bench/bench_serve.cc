@@ -139,9 +139,7 @@ void Run() {
       std::printf("\nengine counters: %s\n", stats.ToString().c_str());
     }
   }
-  if (ObservabilityEnabled()) {
-    bench::PrintMetrics("Registry metrics (logcl.serve.* / logcl.bench.*)");
-  }
+  bench::PrintMetrics("Registry metrics (logcl.serve.* / logcl.bench.*)");
   std::printf(
       "\nExpected shape: QPS grows with max_batch; the batched engine beats\n"
       "the sequential baseline well beyond 5x once batches amortise the\n"

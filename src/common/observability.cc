@@ -47,11 +47,6 @@ constexpr uint32_t kHistHeaderCells = 3;
 constexpr uint32_t kHistCells =
     kHistHeaderCells + static_cast<uint32_t>(HistogramBuckets::kNumBuckets);
 
-std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag(RuntimeConfig::Get().observability);
-  return flag;
-}
-
 // Single-writer plain-store bump (see tensor/buffer_pool.cc StatBlock): the
 // owning thread is the only writer of its shard cells, so no RMW is needed.
 inline void Bump(std::atomic<uint64_t>& cell, uint64_t delta) {
@@ -131,11 +126,6 @@ Shard& LocalShard() {
   return *registered.shard;
 }
 
-std::atomic<uint64_t>& TraceInternCounter() {
-  static std::atomic<uint64_t>* counter = new std::atomic<uint64_t>(0);
-  return *counter;
-}
-
 // Per-thread tracer state. `paths` remembers each trace histogram's path so
 // children can extend it; `cache` short-circuits (parent, leaf-literal) to
 // the resolved histogram after the first entry.
@@ -174,7 +164,6 @@ Histogram* EnterTraceScope(const char* name) {
     histogram = Metrics().GetHistogram("logcl.trace." + path);
     tls.paths.emplace(histogram, std::move(path));
     tls.cache.emplace(key, histogram);
-    TraceInternCounter().fetch_add(1, std::memory_order_relaxed);
   }
   tls.stack.push_back(histogram);
   return histogram;
@@ -208,14 +197,6 @@ void AppendJsonEscaped(std::string* out, std::string_view text) {
 }
 
 }  // namespace
-
-bool ObservabilityEnabled() {
-  return EnabledFlag().load(std::memory_order_relaxed);
-}
-
-void SetObservabilityEnabled(bool enabled) {
-  EnabledFlag().store(enabled, std::memory_order_relaxed);
-}
 
 uint64_t MonotonicNowNs() {
   return static_cast<uint64_t>(
@@ -312,12 +293,10 @@ HistogramSnapshot MetricsSnapshot::HistogramValue(std::string_view name) const {
 // --- Handles ---------------------------------------------------------------
 
 void Counter::Add(uint64_t n) {
-  if (!ObservabilityEnabled()) return;
   Bump(*LocalShard().Cell(offset_), n);
 }
 
 void Histogram::Record(uint64_t value) {
-  if (!ObservabilityEnabled()) return;
   Shard& shard = LocalShard();
   // One histogram's cells sit inside one chunk (kHistCells < kChunkCells and
   // allocation is contiguous), so resolve the base cell once.
@@ -482,12 +461,6 @@ void MetricsRegistry::ResetForTest() {
   }
 }
 
-uint64_t MetricsRegistry::MetricCountForTest() const {
-  RegistryState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  return state.descriptors.size();
-}
-
 // --- Exporters -------------------------------------------------------------
 
 namespace {
@@ -614,18 +587,13 @@ bool EnableMetricsDumpAtExit() {
 
 // --- Tracer ----------------------------------------------------------------
 
-TraceScope::TraceScope(const char* name) {
-  if (!ObservabilityEnabled()) return;
-  histogram_ = EnterTraceScope(name);
-  start_ns_ = MonotonicNowNs();
-}
+TraceScope::TraceScope(const char* name)
+    : histogram_(EnterTraceScope(name)), start_ns_(MonotonicNowNs()) {}
 
-TraceScope::~TraceScope() {
-  if (histogram_ != nullptr) ExitTraceScope(histogram_, start_ns_);
-}
+TraceScope::~TraceScope() { ExitTraceScope(histogram_, start_ns_); }
 
 ScopedTimerUs::ScopedTimerUs(Histogram* histogram) {
-  if (histogram == nullptr || !ObservabilityEnabled()) return;
+  if (histogram == nullptr) return;
   histogram_ = histogram;
   start_ns_ = MonotonicNowNs();
 }
@@ -638,10 +606,6 @@ ScopedTimerUs::~ScopedTimerUs() {
 
 int64_t TraceDepthForTest() {
   return static_cast<int64_t>(Trace().stack.size());
-}
-
-uint64_t TraceInternCountForTest() {
-  return TraceInternCounter().load(std::memory_order_relaxed);
 }
 
 }  // namespace logcl

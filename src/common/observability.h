@@ -20,9 +20,6 @@
 //    parents yields distinct metrics. Path resolution is cached per thread
 //    keyed by (parent, name-literal), so steady state is one hash lookup
 //    and two clock reads per scope.
-//  - LOGCL_OBSERVABILITY=0 disables recording: every handle write and scope
-//    entry reduces to one relaxed load + branch, with zero allocation (the
-//    disabled-mode tests assert this via the intern counters).
 //  - Subsystems whose counters predate the registry (buffer pool, inference
 //    engine) publish through registered *sources*: callbacks invoked at
 //    snapshot time that append their exact counters under the registry
@@ -44,11 +41,6 @@
 #include <vector>
 
 namespace logcl {
-
-/// True when metric recording and tracing are active (default; the
-/// LOGCL_OBSERVABILITY=0 env var or SetObservabilityEnabled(false) disable).
-bool ObservabilityEnabled();
-void SetObservabilityEnabled(bool enabled);
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 enum class MetricsFormat { kText, kJson };
@@ -182,10 +174,6 @@ class MetricsRegistry {
   /// Gauges and sources are live views and are left untouched.
   void ResetForTest();
 
-  /// Number of metrics interned so far (test hook for the disabled-mode
-  /// zero-allocation contract).
-  uint64_t MetricCountForTest() const;
-
  private:
   MetricsRegistry() = default;
 };
@@ -206,7 +194,7 @@ bool EnableMetricsDumpAtExit();
 
 /// RAII wall-time scope; see the file comment. `name` must be a string
 /// literal (or otherwise outlive the process) — path caching keys on the
-/// pointer. Near-zero cost when observability is disabled.
+/// pointer.
 class TraceScope {
  public:
   explicit TraceScope(const char* name);
@@ -216,8 +204,8 @@ class TraceScope {
   TraceScope& operator=(const TraceScope&) = delete;
 
  private:
-  Histogram* histogram_ = nullptr;  // null when disabled at entry
-  uint64_t start_ns_ = 0;
+  Histogram* histogram_;
+  uint64_t start_ns_;
 };
 
 #define LOGCL_TRACE_CONCAT_(a, b) a##b
@@ -227,8 +215,7 @@ class TraceScope {
   ::logcl::TraceScope LOGCL_TRACE_CONCAT(logcl_trace_scope_, __LINE__)(name)
 
 /// RAII timer recording elapsed microseconds into `histogram` on scope exit
-/// (serving latencies, bench phases). No-op when observability is disabled
-/// or `histogram` is null.
+/// (serving latencies, bench phases). No-op when `histogram` is null.
 class ScopedTimerUs {
  public:
   explicit ScopedTimerUs(Histogram* histogram);
@@ -242,11 +229,8 @@ class ScopedTimerUs {
   uint64_t start_ns_ = 0;
 };
 
-/// Test hooks: trace-stack depth of the calling thread, and the number of
-/// distinct trace paths interned process-wide (each interning allocates, so
-/// a constant count across disabled-mode scopes proves zero allocation).
+/// Test hook: trace-stack depth of the calling thread.
 int64_t TraceDepthForTest();
-uint64_t TraceInternCountForTest();
 
 /// Monotonic nanosecond clock shared by the tracer and timers.
 uint64_t MonotonicNowNs();

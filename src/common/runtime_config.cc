@@ -51,8 +51,6 @@ RuntimeConfig RuntimeConfig::FromEnvironment() {
   RuntimeConfig config;
   config.num_threads = static_cast<int>(ParseIntFlag(
       std::getenv("LOGCL_NUM_THREADS"), 0, INT_MAX, config.num_threads));
-  config.tensor_pool =
-      ParseBoolFlag(std::getenv("LOGCL_TENSOR_POOL"), config.tensor_pool);
   config.poison_uninit =
       ParseBoolFlag(std::getenv("LOGCL_POISON_UNINIT"), config.poison_uninit);
   // The cap is kept in bytes (tensor/buffer_pool.cc), so the MiB value must
@@ -64,8 +62,6 @@ RuntimeConfig RuntimeConfig::FromEnvironment() {
   if (quant == "bf16" || quant == "int8") {
     config.quant = quant;
   }
-  config.observability =
-      ParseBoolFlag(std::getenv("LOGCL_OBSERVABILITY"), config.observability);
   config.metrics_dump = EnvString("LOGCL_METRICS_DUMP");
   config.metrics_dump_file = EnvString("LOGCL_METRICS_DUMP_FILE");
   return config;
@@ -82,8 +78,6 @@ std::vector<RuntimeConfigEntry> EffectiveConfig() {
   entries.push_back({"LOGCL_NUM_THREADS",
                      c.num_threads == 0 ? "auto" : std::to_string(c.num_threads),
                      "auto", "worker count of the shared thread pool"});
-  entries.push_back({"LOGCL_TENSOR_POOL", OnOff(c.tensor_pool), "on",
-                     "size-bucketed pooled tensor allocator"});
   entries.push_back({"LOGCL_POISON_UNINIT", OnOff(c.poison_uninit), "off",
                      "sNaN-poison recycled uninitialised buffers"});
   entries.push_back({"LOGCL_POOL_MAX_MB",
@@ -94,8 +88,6 @@ std::vector<RuntimeConfigEntry> EffectiveConfig() {
                      "runtime-dispatched AVX2/NEON kernel tables"});
   entries.push_back({"LOGCL_QUANT", c.quant, "fp32",
                      "default snapshot scoring precision"});
-  entries.push_back({"LOGCL_OBSERVABILITY", OnOff(c.observability), "on",
-                     "metric recording and tracing"});
   entries.push_back({"LOGCL_METRICS_DUMP",
                      c.metrics_dump.empty() ? "off" : c.metrics_dump, "off",
                      "atexit metrics dump format (text|json)"});

@@ -1,9 +1,8 @@
 // RuntimeConfig: one typed snapshot of every LOGCL_* environment knob.
 //
 // Before this header existed each subsystem parsed its own env var with its
-// own lazily-initialised static (pool, SIMD, quantization,
-// observability, ...), each with slightly different
-// accepted spellings. RuntimeConfig::Get() reads the whole environment ONCE
+// own lazily-initialised static (SIMD, quantization, ...), each with
+// slightly different accepted spellings. RuntimeConfig::Get() reads the whole environment ONCE
 // (on first access from any subsystem) into an immutable snapshot with one
 // shared boolean grammar, and every subsystem initialises its own runtime
 // flag from that snapshot. The per-subsystem Set*Enabled() functions remain
@@ -40,9 +39,6 @@ struct RuntimeConfig {
   int num_threads = 0;
 
   // --- Tensor memory (tensor/buffer_pool.h) -------------------------------
-  /// LOGCL_TENSOR_POOL: route tensor/grad storage through the size-bucketed
-  /// pooled allocator. Default on.
-  bool tensor_pool = true;
   /// LOGCL_POISON_UNINIT: fill pool-recycled uninitialised buffers with
   /// signalling NaNs so read-before-write bugs fail loudly. Default off.
   bool poison_uninit = false;
@@ -65,8 +61,6 @@ struct RuntimeConfig {
   std::string quant = "fp32";
 
   // --- Observability (common/observability.h) -----------------------------
-  /// LOGCL_OBSERVABILITY: metric recording + tracing. Default on.
-  bool observability = true;
   /// LOGCL_METRICS_DUMP: "text" / "json" ("1" = text) arms an atexit metrics
   /// dump; "", "0", "off" disable. Default "".
   std::string metrics_dump;

@@ -98,40 +98,6 @@ SnapshotGraph GlobalEncoder::BuildQuerySubgraph(
   return graph;
 }
 
-std::shared_ptr<const SnapshotGraph> GlobalEncoder::QuerySubgraph(
-    const HistoryIndex& history, const std::vector<Quadruple>& queries,
-    int64_t num_entities) const {
-  if (!options_.cache_query_subgraphs) {
-    return std::make_shared<const SnapshotGraph>(
-        BuildQuerySubgraph(history, queries, num_entities));
-  }
-  // Entries are valid only against one HistoryIndex (hence one dataset);
-  // drop everything if the encoder is pointed at a different one.
-  if (cached_history_ != &history) {
-    subgraph_cache_.clear();
-    cached_history_ = &history;
-  }
-  LOGCL_CHECK(!queries.empty());
-  SubgraphKey key;
-  key.first = queries.front().time;
-  key.second.reserve(queries.size());
-  for (const Quadruple& q : queries) {
-    key.second.emplace_back(q.subject, q.relation);
-  }
-  std::sort(key.second.begin(), key.second.end());
-  key.second.erase(std::unique(key.second.begin(), key.second.end()),
-                   key.second.end());
-  auto it = subgraph_cache_.find(key);
-  if (it == subgraph_cache_.end()) {
-    it = subgraph_cache_
-             .emplace(std::move(key),
-                      std::make_shared<const SnapshotGraph>(BuildQuerySubgraph(
-                          history, queries, num_entities)))
-             .first;
-  }
-  return it->second;
-}
-
 Tensor GlobalEncoder::Encode(const SnapshotGraph& graph,
                              const Tensor& base_entities,
                              const Tensor& base_relations, bool training,

@@ -11,9 +11,6 @@
 #ifndef LOGCL_CORE_GLOBAL_ENCODER_H_
 #define LOGCL_CORE_GLOBAL_ENCODER_H_
 
-#include <map>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,10 +31,6 @@ struct GlobalEncoderOptions {
   int64_t max_edges_per_anchor = 16;
   /// Cap on historical answers expanded per query (first-seen order).
   int64_t max_answers_per_query = 6;
-  /// Reuse QuerySubgraph results across epochs (the subgraph is a pure
-  /// function of the immutable HistoryIndex and the query set, so training
-  /// and eval rebuild identical graphs every epoch without it).
-  bool cache_query_subgraphs = true;
 };
 
 class GlobalEncoder : public Module {
@@ -51,16 +44,6 @@ class GlobalEncoder : public Module {
   SnapshotGraph BuildQuerySubgraph(const HistoryIndex& history,
                                    const std::vector<Quadruple>& queries,
                                    int64_t num_entities) const;
-
-  /// BuildQuerySubgraph behind the cross-epoch cache (see
-  /// options.cache_query_subgraphs). Results are keyed by the query
-  /// timestamp and the distinct (subject, relation) pairs — the only inputs
-  /// the subgraph depends on besides the HistoryIndex. The cache is cleared
-  /// whenever a different HistoryIndex instance is presented, so entries
-  /// never outlive their dataset.
-  std::shared_ptr<const SnapshotGraph> QuerySubgraph(
-      const HistoryIndex& history, const std::vector<Quadruple>& queries,
-      int64_t num_entities) const;
 
   /// Message passing over the subgraph from the base embeddings; returns
   /// H_g^Agg [E, d].
@@ -85,28 +68,10 @@ class GlobalEncoder : public Module {
 
   const GlobalEncoderOptions& options() const { return options_; }
 
-  /// Drops the cross-epoch subgraph cache. Required after the presented
-  /// HistoryIndex is mutated IN PLACE (e.g. LogClModel::ExtendHistory):
-  /// the cache only self-invalidates when a different index instance
-  /// appears, so in-place extension would otherwise serve stale subgraphs.
-  void InvalidateSubgraphCache() const {
-    subgraph_cache_.clear();
-    cached_history_ = nullptr;
-  }
-
  private:
   GlobalEncoderOptions options_;
   RelGraphEncoder aggregator_;
   Linear w_attention_;  // W6 of Eq.13 (d -> 1)
-
-  // Cross-epoch subgraph cache (see QuerySubgraph). Key: query time plus
-  // the sorted distinct (subject, relation) pairs. Mutable lazily built
-  // state; not thread-safe (single training thread).
-  using SubgraphKey =
-      std::pair<int64_t, std::vector<std::pair<int64_t, int64_t>>>;
-  mutable std::map<SubgraphKey, std::shared_ptr<const SnapshotGraph>>
-      subgraph_cache_;
-  mutable const HistoryIndex* cached_history_ = nullptr;
 };
 
 }  // namespace logcl

@@ -74,8 +74,7 @@ LogClModel::BatchOutput LogClModel::ForwardBatch(
 LogClModel::ScoreParts LogClModel::ScorePhase(
     const std::vector<Quadruple>& queries, const Tensor& h0,
     const LocalEncoderOutput& local, const HistoryIndex& history,
-    bool training, bool use_subgraph_cache, Rng* rng,
-    bool decode_only) const {
+    bool training, Rng* rng, bool decode_only) const {
   BatchTime(queries);  // all queries must share one timestamp
   std::vector<int64_t> relation_ids;
   relation_ids.reserve(queries.size());
@@ -92,16 +91,9 @@ LogClModel::ScoreParts LogClModel::ScorePhase(
   // --- Global branch (Eq.12-14). ---
   Tensor global_encoded;
   if (config_.use_global) {
-    // The cross-epoch subgraph cache is single-threaded training state; the
-    // concurrent serving path builds the (identical) subgraph fresh.
-    std::shared_ptr<const SnapshotGraph> subgraph =
-        use_subgraph_cache
-            ? global_encoder_.QuerySubgraph(history, queries,
-                                            dataset().num_entities())
-            : std::make_shared<const SnapshotGraph>(
-                  global_encoder_.BuildQuerySubgraph(
-                      history, queries, dataset().num_entities()));
-    global_encoded = global_encoder_.Encode(*subgraph, h0, base_relations_,
+    SnapshotGraph subgraph = global_encoder_.BuildQuerySubgraph(
+        history, queries, dataset().num_entities());
+    global_encoded = global_encoder_.Encode(subgraph, h0, base_relations_,
                                             training, rng);
     parts.global_query = global_encoder_.QueryRepresentations(
         global_encoded, h0, queries, history, config_.use_entity_attention);
@@ -147,8 +139,8 @@ LogClModel::ScoreParts LogClModel::ScorePhase(
 LogClModel::BatchOutput LogClModel::ForwardPhase(
     const std::vector<Quadruple>& queries, const Tensor& h0,
     const LocalEncoderOutput& local, bool training) {
-  ScoreParts parts = ScorePhase(queries, h0, local, history_, training,
-                                /*use_subgraph_cache=*/true, &rng_);
+  ScoreParts parts =
+      ScorePhase(queries, h0, local, history_, training, &rng_);
   std::vector<int64_t> targets;
   targets.reserve(queries.size());
   for (const Quadruple& q : queries) targets.push_back(q.object);
@@ -223,8 +215,7 @@ Tensor LogClModel::ScoreWithEvolution(const std::vector<Quadruple>& queries,
   NoGradGuard no_grad;
   ScoreParts parts =
       ScorePhase(queries, evolution.base_entities, evolution.local, history,
-                 /*training=*/false, /*use_subgraph_cache=*/false,
-                 /*rng=*/nullptr);
+                 /*training=*/false, /*rng=*/nullptr);
   return parts.scores;
 }
 
@@ -234,8 +225,7 @@ Tensor LogClModel::DecodeWithEvolution(const std::vector<Quadruple>& queries,
   NoGradGuard no_grad;
   ScoreParts parts =
       ScorePhase(queries, evolution.base_entities, evolution.local, history,
-                 /*training=*/false, /*use_subgraph_cache=*/false,
-                 /*rng=*/nullptr, /*decode_only=*/true);
+                 /*training=*/false, /*rng=*/nullptr, /*decode_only=*/true);
   return parts.decoded;
 }
 
@@ -401,10 +391,6 @@ EpochStats LogClModel::RunTrainingPhases(const std::vector<Quadruple>& facts,
 void LogClModel::ExtendHistory(const std::vector<Quadruple>& facts) {
   if (facts.empty()) return;
   history_.AddFacts(facts);
-  // The subgraph cache keys against the index contents; it only
-  // self-invalidates when a *different* index instance shows up, so an
-  // in-place extension must drop it explicitly.
-  global_encoder_.InvalidateSubgraphCache();
 }
 
 double LogClModel::TrainOnStreamFacts(

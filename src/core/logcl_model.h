@@ -113,9 +113,8 @@ class LogClModel : public TkgModel {
   /// Scores one batch of same-timestamp queries against every entity given a
   /// precomputed evolution and a history index; returns logits [B, E],
   /// bitwise identical to ScoreQueries on the same state. Const and safe to
-  /// call from concurrent threads (it bypasses the global encoder's subgraph
-  /// cache); `history` substitutes for the model's own index so serving can
-  /// extend history online.
+  /// call from concurrent threads; `history` substitutes for the model's own
+  /// index so serving can extend history online.
   Tensor ScoreWithEvolution(const std::vector<Quadruple>& queries,
                             const EvolutionState& evolution,
                             const HistoryIndex& history) const;
@@ -158,9 +157,7 @@ class LogClModel : public TkgModel {
 
   /// Extends the model's own history index with `facts` plus inverses (all
   /// at or beyond the index's maximum time) — the continual-learning step
-  /// behind StreamSession::Advance. Invalidates the global encoder's
-  /// subgraph cache, which is keyed against the (now mutated-in-place)
-  /// index.
+  /// behind StreamSession::Advance.
   void ExtendHistory(const std::vector<Quadruple>& facts);
 
   /// One fine-tune step on streamed facts at timestamp `t` over an explicit
@@ -202,15 +199,13 @@ class LogClModel : public TkgModel {
   /// The shared scoring pipeline (Eq.9-19) for one batch of same-timestamp
   /// queries: query representations, lambda-fusion, ConvTransE decode.
   /// Const — every mutable interaction is parameterised: `history` supplies
-  /// the historical answer sets, `use_subgraph_cache` selects the cached vs
-  /// thread-safe subgraph path, and `rng` is only consumed when training.
+  /// the historical answer sets and `rng` is only consumed when training.
   /// `decode_only` stops after ConvTransE::Decode (fills `decoded`, leaves
   /// `scores` unset) — the reduced-precision serving path's entry.
   ScoreParts ScorePhase(const std::vector<Quadruple>& queries,
                         const Tensor& base_entities,
                         const LocalEncoderOutput& local,
-                        const HistoryIndex& history, bool training,
-                        bool use_subgraph_cache, Rng* rng,
+                        const HistoryIndex& history, bool training, Rng* rng,
                         bool decode_only = false) const;
 
   /// One propagation phase for a batch of same-timestamp queries. The

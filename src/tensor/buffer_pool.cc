@@ -12,6 +12,14 @@
 #include "common/runtime_config.h"
 #include "common/stringpiece.h"
 
+// The ASAN_*POISON* macros are no-ops unless the build uses ASan.
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace logcl {
 namespace {
 
@@ -20,11 +28,6 @@ namespace {
 // tensors; large activations (entity-score matrices) go global where any
 // thread can reuse them.
 constexpr size_t kThreadCacheMaxBytes = size_t{32} << 20;
-
-std::atomic<bool>& PoolEnabledFlag() {
-  static std::atomic<bool> flag(RuntimeConfig::Get().tensor_pool);
-  return flag;
-}
 
 std::atomic<bool>& PoisonFlag() {
   static std::atomic<bool> flag(RuntimeConfig::Get().poison_uninit);
@@ -344,15 +347,6 @@ void PoisonBuffer(std::vector<float>& buffer) {
 
 }  // namespace
 
-bool BufferPoolEnabled() {
-  return PoolEnabledFlag().load(std::memory_order_relaxed);
-}
-
-void SetBufferPoolEnabled(bool enabled) {
-  PoolEnabledFlag().store(enabled, std::memory_order_relaxed);
-  if (!enabled) TrimBufferPool();
-}
-
 bool PoisonUninitEnabled() {
   return PoisonFlag().load(std::memory_order_relaxed);
 }
@@ -379,12 +373,11 @@ std::vector<float> AcquireBuffer(size_t num_elements, BufferFill fill) {
   NoteLiveDelta(bytes);
 
   std::vector<float> buffer;
-  bool recycled = false;
-  if (num_elements > 0 && BufferPoolEnabled()) {
-    recycled = cache.Pop(num_elements, &buffer) ||
-               Global().Pop(num_elements, &buffer);
-  }
+  const bool recycled = num_elements > 0 &&
+                        (cache.Pop(num_elements, &buffer) ||
+                         Global().Pop(num_elements, &buffer));
   if (recycled) {
+    ASAN_UNPOISON_MEMORY_REGION(buffer.data(), bytes);
     Bump<uint64_t>(stats.hits, 1);
     Bump<int64_t>(stats.pooled_buffers, -1);
     Bump(stats.pooled_bytes, -bytes);
@@ -413,10 +406,9 @@ void ReleaseBuffer(std::vector<float>&& buffer) {
   Bump<uint64_t>(stats.releases, 1);
   Bump<int64_t>(stats.outstanding, -1);
   NoteLiveDelta(-bytes);
-  if (!BufferPoolEnabled()) {
-    std::vector<float>().swap(buffer);  // free now, don't pool
-    return;
-  }
+  // Under ASan a pooled buffer stays poisoned until it is popped again, so
+  // a tensor read after release is reported like a use-after-free.
+  ASAN_POISON_MEMORY_REGION(buffer.data(), bytes);
   Bump<int64_t>(stats.pooled_buffers, 1);
   Bump(stats.pooled_bytes, bytes);
   std::vector<float> owned = std::move(buffer);

@@ -19,11 +19,12 @@
 //    thread's cache moves to the global tier when the thread exits or calls
 //    SpillThreadBufferCache (a replica worker's control thread does after
 //    each Advance build, so co-located workers' builds share buffers).
-//  - Determinism contract: results are bitwise identical with the pool on or
-//    off, at any thread count. This holds because every kUninit acquisition
-//    is fully overwritten before it is read (LOGCL_POISON_UNINIT=1 fills
-//    recycled/uninitialised buffers with signalling NaNs so a kernel that
-//    reads before writing fails loudly in tests).
+//  - Determinism contract: results are bitwise identical whether a buffer
+//    is fresh or recycled, at any thread count. This holds because every
+//    kUninit acquisition is fully overwritten before it is read
+//    (LOGCL_POISON_UNINIT=1 fills recycled/uninitialised buffers with
+//    signalling NaNs so a kernel that reads before writing fails loudly in
+//    tests).
 //  - Invariant: a pooled buffer is never aliased by two live owners. Acquire
 //    pops the buffer out of the free list; Release is only called by owners
 //    giving up their storage (TensorNode destruction, PooledBuffer scope
@@ -39,10 +40,11 @@
 //    included, and drops the same-shape buffers serving would have reused
 //    along with the superseded sizes, so a long stream's memory stays flat
 //    instead of climbing toward the cap.
-//  - Env toggles: LOGCL_TENSOR_POOL=0 restores malloc-per-op (Acquire always
-//    allocates fresh zeroed storage, Release frees); LOGCL_POISON_UNINIT=1
-//    enables the poison-fill debug mode; LOGCL_POOL_MAX_MB=0 removes the
-//    global-tier cap.
+//  - Under AddressSanitizer a released buffer is poisoned while it sits in a
+//    free list and unpoisoned when it is acquired again, so a read through a
+//    released tensor's storage is reported as it would be without the pool.
+//  - Env toggles: LOGCL_POISON_UNINIT=1 enables the poison-fill debug mode;
+//    LOGCL_POOL_MAX_MB=0 removes the global-tier cap.
 
 #ifndef LOGCL_TENSOR_BUFFER_POOL_H_
 #define LOGCL_TENSOR_BUFFER_POOL_H_
@@ -61,12 +63,6 @@ namespace logcl {
 /// caller fully overwrites the buffer before reading it.
 enum class BufferFill { kZero, kUninit };
 
-/// True when recycling is active (default; LOGCL_TENSOR_POOL=0 disables).
-bool BufferPoolEnabled();
-/// Overrides the env default (tests/benchmarks). Disabling drops every
-/// pooled buffer (TrimBufferPool) so held memory is returned.
-void SetBufferPoolEnabled(bool enabled);
-
 /// True when kUninit acquisitions are filled with signalling NaNs
 /// (LOGCL_POISON_UNINIT=1; see BufferFill).
 bool PoisonUninitEnabled();
@@ -82,8 +78,7 @@ void SetBufferPoolCapBytes(int64_t cap_bytes);
 /// pool holds one of that size. See BufferFill for the contents contract.
 std::vector<float> AcquireBuffer(size_t num_elements, BufferFill fill);
 
-/// Returns storage to the pool (or frees it when the pool is disabled).
-/// The argument is left empty. Empty buffers are a no-op.
+/// Returns storage to the pool. The argument is left empty. Empty buffers are a no-op.
 void ReleaseBuffer(std::vector<float>&& buffer);
 
 /// Records a caller-allocated buffer becoming tensor storage (FromVector and

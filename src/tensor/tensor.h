@@ -14,7 +14,7 @@
 //  - data/grad storage is recycled through the size-bucketed buffer pool
 //    (tensor/buffer_pool.h): factories acquire from it and ~TensorNode
 //    returns both buffers, so steady-state training stops hitting the
-//    general-purpose allocator. LOGCL_TENSOR_POOL=0 restores malloc-per-op.
+//    general-purpose allocator.
 
 #ifndef LOGCL_TENSOR_TENSOR_H_
 #define LOGCL_TENSOR_TENSOR_H_

@@ -51,6 +51,12 @@ Result<std::vector<Quadruple>> ReadSplitFile(const std::string& path) {
     }
     Quadruple q;
     int64_t* slots[4] = {&q.subject, &q.relation, &q.object, &q.time};
+    const char* names[4] = {"entity id", "relation id", "entity id",
+                            "timestamp"};
+    const int64_t limits[4] = {TkgDataset::kMaxEntityId,
+                               TkgDataset::kMaxRelationId,
+                               TkgDataset::kMaxEntityId,
+                               TkgDataset::kMaxTimestamp};
     for (int i = 0; i < 4; ++i) {
       Result<int64_t> value = ParseInt64(fields[static_cast<size_t>(i)]);
       if (!value.ok()) return value.status();
@@ -60,14 +66,14 @@ Result<std::vector<Quadruple>> ReadSplitFile(const std::string& path) {
                       static_cast<long long>(line_number),
                       static_cast<long long>(value.value())));
       }
+      if (value.value() > limits[i]) {
+        return Status::InvalidArgument(
+            StrFormat("%s:%lld: %s %lld exceeds the limit %lld",
+                      path.c_str(), static_cast<long long>(line_number),
+                      names[i], static_cast<long long>(value.value()),
+                      static_cast<long long>(limits[i])));
+      }
       *slots[i] = value.value();
-    }
-    if (q.time > TkgDataset::kMaxTimestamp) {
-      return Status::InvalidArgument(
-          StrFormat("%s:%lld: timestamp %lld exceeds the limit %lld",
-                    path.c_str(), static_cast<long long>(line_number),
-                    static_cast<long long>(q.time),
-                    static_cast<long long>(TkgDataset::kMaxTimestamp)));
     }
     facts.push_back(q);
   }

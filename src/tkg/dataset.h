@@ -58,10 +58,19 @@ class TkgDataset {
   /// value in a split file is rejected instead of sizing an allocation.
   static constexpr int64_t kMaxTimestamp = int64_t{1} << 24;
 
+  /// Largest entity and relation ids LoadTsv accepts (2^24 each). LoadTsv
+  /// sizes the entity and relation spaces as the largest id + 1, so a bigger
+  /// id is rejected instead of sizing the embedding tables. Both stay far
+  /// below the 40-bit fields of the packed (s, r, o) edge keys, inverse
+  /// relations included.
+  static constexpr int64_t kMaxEntityId = int64_t{1} << 24;
+  static constexpr int64_t kMaxRelationId = int64_t{1} << 24;
+
   /// Loads `<dir>/train.txt`, `valid.txt`, `test.txt` with whitespace-
   /// separated "s r o t" integer rows (the standard benchmark format). A
-  /// malformed row, a negative id or a timestamp above kMaxTimestamp is
-  /// InvalidArgument naming `path:line`.
+  /// malformed row, a negative id, an id above kMaxEntityId /
+  /// kMaxRelationId or a timestamp above kMaxTimestamp is InvalidArgument
+  /// naming `path:line`.
   static Result<TkgDataset> LoadTsv(const std::string& dir, std::string name);
 
   /// Writes the three split files into `dir` (created by the caller).

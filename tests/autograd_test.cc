@@ -233,17 +233,7 @@ TEST(AutogradFreshGradTest, NegativeZeroContributionsNormalised) {
 
 // --- Metrics ----------------------------------------------------------------
 
-class AutogradMetricsTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    previous_ = ObservabilityEnabled();
-    SetObservabilityEnabled(true);  // CI also runs with LOGCL_OBSERVABILITY=0
-  }
-  void TearDown() override { SetObservabilityEnabled(previous_); }
-  bool previous_ = false;
-};
-
-TEST_F(AutogradMetricsTest, EngineCountersPublished) {
+TEST(AutogradMetricsTest, EngineCountersPublished) {
   MetricsSnapshot before = Metrics().Snapshot();
   RunDiamond(10, 4);
   MetricsSnapshot after = Metrics().Snapshot();

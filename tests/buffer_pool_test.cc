@@ -1,11 +1,13 @@
 // Tests for the pooled tensor memory subsystem: bucket reuse identity,
 // allocation-stats accounting, cross-thread recycling (TSan-covered),
-// poison-fill detection of read-before-write kernels, thread-local grad
-// mode, and epoch-level bitwise parity of training with the pool on vs off.
+// poison-fill detection of read-before-write kernels, ASan poisoning of
+// pooled buffers, thread-local grad mode, and epoch-level bitwise parity of
+// training on a cold (trimmed) vs a warm (stale) pool.
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,21 +21,23 @@
 #include "tensor/optimizer.h"
 #include "tensor/tensor.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define LOGCL_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define LOGCL_TEST_ASAN 1
+#endif
+#endif
+#ifdef LOGCL_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace logcl {
 namespace {
 
 // Restores the default thread count when a test exits, pass or fail.
 struct ThreadCountGuard {
   ~ThreadCountGuard() { SetNumThreads(0); }
-};
-
-// Forces the pool on/off for a scope and restores the previous mode.
-struct PoolModeGuard {
-  explicit PoolModeGuard(bool enabled) : previous_(BufferPoolEnabled()) {
-    SetBufferPoolEnabled(enabled);
-  }
-  ~PoolModeGuard() { SetBufferPoolEnabled(previous_); }
-  bool previous_;
 };
 
 // Scoped poison mode.
@@ -48,7 +52,6 @@ struct PoisonModeGuard {
 // --- Bucket reuse -----------------------------------------------------------
 
 TEST(BufferPoolTest, SameSizeRequestReturnsSameStorage) {
-  PoolModeGuard pool(true);
   PoisonModeGuard poison(false);  // asserts stale contents survive kUninit
   TrimBufferPool();
   constexpr size_t kSize = 12345;  // uncommon size: private bucket
@@ -70,7 +73,6 @@ TEST(BufferPoolTest, SameSizeRequestReturnsSameStorage) {
 }
 
 TEST(BufferPoolTest, TensorStorageIsRecycledAcrossNodeLifetimes) {
-  PoolModeGuard pool(true);
   TrimBufferPool();
   const Shape shape{37, 11};
   const float* storage = nullptr;
@@ -84,20 +86,9 @@ TEST(BufferPoolTest, TensorStorageIsRecycledAcrossNodeLifetimes) {
   for (float v : reborn.data()) ASSERT_EQ(v, 0.0f);
 }
 
-TEST(BufferPoolTest, DisabledPoolFreesInsteadOfRecycling) {
-  PoolModeGuard pool(false);
-  std::vector<float> buffer = AcquireBuffer(64, BufferFill::kZero);
-  ReleaseBuffer(std::move(buffer));
-  EXPECT_TRUE(buffer.empty());
-  BufferPoolStats stats = PoolSnapshot();
-  EXPECT_EQ(stats.pooled_buffers, 0u);
-  EXPECT_EQ(stats.pooled_bytes, 0u);
-}
-
 // --- Allocation stats -------------------------------------------------------
 
 TEST(BufferPoolTest, StatsAccountForHitsMissesAndLiveBytes) {
-  PoolModeGuard pool(true);
   TrimBufferPool();
   ResetPoolStats();
   constexpr size_t kSize = 54321;
@@ -122,7 +113,6 @@ TEST(BufferPoolTest, StatsAccountForHitsMissesAndLiveBytes) {
 }
 
 TEST(BufferPoolTest, AdoptedBuffersBalanceTheLiveCounters) {
-  PoolModeGuard pool(true);
   ResetPoolStats();
   BufferPoolStats before = PoolSnapshot();
   {
@@ -141,7 +131,6 @@ TEST(BufferPoolTest, AdoptedBuffersBalanceTheLiveCounters) {
 // --- Cross-thread recycling (run under TSan in CI) --------------------------
 
 TEST(BufferPoolThreadsTest, BufferReleasedOnOneThreadIsReusedOnAnother) {
-  PoolModeGuard pool(true);
   PoisonModeGuard poison(false);  // asserts stale contents survive kUninit
   TrimBufferPool();
   constexpr size_t kSize = 7777;
@@ -160,7 +149,6 @@ TEST(BufferPoolThreadsTest, BufferReleasedOnOneThreadIsReusedOnAnother) {
 }
 
 TEST(BufferPoolThreadsTest, SpilledCacheIsReusedWhileItsThreadLives) {
-  PoolModeGuard pool(true);
   PoisonModeGuard poison(false);  // asserts stale contents survive kUninit
   TrimBufferPool();
   constexpr size_t kSize = 7779;
@@ -192,7 +180,6 @@ TEST(BufferPoolThreadsTest, SpilledCacheIsReusedWhileItsThreadLives) {
 }
 
 TEST(BufferPoolThreadsTest, ConcurrentAcquireReleaseIsRaceFree) {
-  PoolModeGuard pool(true);
   constexpr int kThreads = 4;
   constexpr int kRounds = 200;
   std::vector<std::thread> threads;
@@ -216,7 +203,6 @@ TEST(BufferPoolThreadsTest, ConcurrentAcquireReleaseIsRaceFree) {
 // --- Poison mode ------------------------------------------------------------
 
 TEST(BufferPoolPoisonTest, PoisonFillCatchesReadBeforeWrite) {
-  PoolModeGuard pool(true);
   PoisonModeGuard poison(true);
   // A "kernel" that wrongly reads its kUninit output before writing it must
   // see NaNs, both on a fresh buffer and on a recycled one.
@@ -233,7 +219,6 @@ TEST(BufferPoolPoisonTest, KernelsFullyOverwriteUninitOutputs) {
   // The zero-init-elision safety argument, executed: with poisoning on, a
   // training step's ops must produce NaN-free outputs, proving every
   // kUninit buffer is fully overwritten before it is read.
-  PoolModeGuard pool(true);
   PoisonModeGuard poison(true);
   Tensor a = Tensor::Full(Shape{5, 8}, 0.5f, /*requires_grad=*/true);
   Tensor b = Tensor::Full(Shape{8, 3}, -0.25f, /*requires_grad=*/true);
@@ -244,6 +229,33 @@ TEST(BufferPoolPoisonTest, KernelsFullyOverwriteUninitOutputs) {
   for (float v : a.grad()) EXPECT_FALSE(std::isnan(v));
   for (float v : b.grad()) EXPECT_FALSE(std::isnan(v));
 }
+
+#ifdef LOGCL_TEST_ASAN
+// --- ASan poisoning (compiled only under -fsanitize=address) ----------------
+
+TEST(BufferPoolAsanTest, ReleasedBufferIsPoisonedUntilReacquired) {
+  TrimBufferPool();
+  constexpr size_t kSize = 4099;  // uncommon size: private bucket
+  std::vector<float> buffer = AcquireBuffer(kSize, BufferFill::kZero);
+  float* storage = buffer.data();
+  EXPECT_FALSE(__asan_address_is_poisoned(storage));
+  ReleaseBuffer(std::move(buffer));
+  EXPECT_TRUE(__asan_address_is_poisoned(storage));
+  EXPECT_TRUE(__asan_address_is_poisoned(storage + kSize / 2));
+  // A read through the stale pointer is reported like a use-after-free.
+  EXPECT_DEATH(
+      {
+        volatile float stale = storage[kSize / 2];
+        (void)stale;
+      },
+      "use-after-poison");
+  std::vector<float> again = AcquireBuffer(kSize, BufferFill::kUninit);
+  ASSERT_EQ(again.data(), storage);
+  EXPECT_EQ(__asan_region_is_poisoned(again.data(), kSize * sizeof(float)),
+            nullptr);
+  ReleaseBuffer(std::move(again));
+}
+#endif  // LOGCL_TEST_ASAN
 
 // --- Thread-local grad mode (run under TSan in CI) --------------------------
 
@@ -282,7 +294,7 @@ TEST(GradModeThreadLocalTest, ConcurrentGuardsDoNotRace) {
   toggler.join();
 }
 
-// --- End-to-end: pool on/off parity + steady-state hit rate -----------------
+// --- End-to-end: cold vs warm pool parity + steady-state hit rate ----------
 
 struct EpochResult {
   double loss = 0.0;
@@ -300,15 +312,14 @@ TkgDataset SmallDataset() {
   return GenerateSyntheticTkg(config);
 }
 
-EpochResult RunEpoch(const TkgDataset& d, bool pooled) {
-  PoolModeGuard mode(pooled);
+EpochResult RunEpoch(const TkgDataset& d, uint64_t seed) {
   LogClConfig config;
   config.embedding_dim = 8;
   config.local.history_length = 2;
   config.local.num_layers = 1;
   config.global.num_layers = 1;
   config.decoder.num_kernels = 4;
-  config.seed = 99;
+  config.seed = seed;
   LogClModel model(&d, config);
   AdamOptimizer optimizer(model.Parameters(), {});
   EpochResult r;
@@ -321,33 +332,47 @@ EpochResult RunEpoch(const TkgDataset& d, bool pooled) {
   return r;
 }
 
-// The ISSUE's acceptance test: recycled (possibly stale) buffers must not
-// change a single bit of training or eval output, at 1 and 4 threads.
-TEST(PoolEpochParityTest, PoolOnOffBitwiseIdentical) {
-  TkgDataset d = SmallDataset();
-  for (int num_threads : {1, 4}) {
-    ThreadCountGuard guard;
-    SetNumThreads(num_threads);
-    EpochResult pooled = RunEpoch(d, /*pooled=*/true);
-    EpochResult malloced = RunEpoch(d, /*pooled=*/false);
-    EXPECT_EQ(pooled.loss, malloced.loss) << num_threads << " threads";
-    EXPECT_EQ(pooled.scores, malloced.scores);
-    ASSERT_EQ(pooled.params.size(), malloced.params.size());
-    for (size_t i = 0; i < pooled.params.size(); ++i) {
-      EXPECT_EQ(pooled.params[i], malloced.params[i]) << "parameter " << i;
-      EXPECT_EQ(pooled.grads[i], malloced.grads[i]) << "grad " << i;
-    }
+void ExpectBitwiseEqual(const EpochResult& a, const EpochResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.loss, b.loss) << what;
+  EXPECT_EQ(a.scores, b.scores) << what;
+  ASSERT_EQ(a.params.size(), b.params.size()) << what;
+  for (size_t i = 0; i < a.params.size(); ++i) {
+    EXPECT_EQ(a.params[i], b.params[i]) << what << ", parameter " << i;
+    EXPECT_EQ(a.grads[i], b.grads[i]) << what << ", grad " << i;
   }
 }
 
-// The ISSUE's acceptance criterion: shapes repeat across steps, so after a
-// warm epoch virtually every acquisition is served from a free list.
-TEST(PoolEpochParityTest, SteadyStateHitRateIsAtLeast95Percent) {
-  PoolModeGuard pool(true);
+// Recycled (stale) buffers must not change a single bit of training or eval
+// output, at 1 and 4 threads. The cold epoch starts on an empty pool, so
+// every buffer it first touches is fresh and zeroed. The warm epochs start
+// on a pool primed by a differently seeded model, whose buffers hold stale
+// values of the same shapes; the second warm epoch also fills every
+// recycled kUninit buffer with signalling NaNs.
+TEST(PoolEpochParityTest, ColdAndWarmPoolBitwiseIdentical) {
   TkgDataset d = SmallDataset();
-  RunEpoch(d, /*pooled=*/true);  // warm the buckets
+  constexpr uint64_t kSeed = 99;
+  for (int num_threads : {1, 4}) {
+    ThreadCountGuard guard;
+    SetNumThreads(num_threads);
+    const std::string threads = std::to_string(num_threads) + " threads";
+    TrimBufferPool();
+    EpochResult cold = RunEpoch(d, kSeed);
+    RunEpoch(d, kSeed + 1);  // primes the pool with stale buffers
+    ExpectBitwiseEqual(cold, RunEpoch(d, kSeed), "warm, " + threads);
+    PoisonModeGuard poison(true);
+    RunEpoch(d, kSeed + 1);
+    ExpectBitwiseEqual(cold, RunEpoch(d, kSeed), "warm poisoned, " + threads);
+  }
+}
+
+// Shapes repeat across steps, so after a warm epoch virtually every
+// acquisition is served from a free list.
+TEST(PoolEpochParityTest, SteadyStateHitRateIsAtLeast95Percent) {
+  TkgDataset d = SmallDataset();
+  RunEpoch(d, 99);  // warm the buckets
   ResetPoolStats();
-  RunEpoch(d, /*pooled=*/true);
+  RunEpoch(d, 99);
   BufferPoolStats stats = PoolSnapshot();
   EXPECT_GT(stats.acquires, 1000u) << "epoch unexpectedly small";
   EXPECT_GE(stats.HitRate(), 0.95)

@@ -363,7 +363,9 @@ TEST(StructureCacheTest, FromFactsWithInversesMatchesComposedBuild) {
   EXPECT_EQ(direct.dst, composed.dst);
 }
 
-TEST(StructureCacheTest, QuerySubgraphCacheHitsAndKeying) {
+// The subgraph is a pure function of the history index and the query set,
+// so rebuilding it every phase yields the same graph.
+TEST(QuerySubgraphTest, RepeatedBuildsAreIdentical) {
   SynthConfig config;
   config.seed = 79;
   config.num_entities = 14;
@@ -377,31 +379,14 @@ TEST(StructureCacheTest, QuerySubgraphCacheHitsAndKeying) {
   for (const Quadruple& q : d.FactsAt(9)) queries.push_back(q);
   ASSERT_FALSE(queries.empty());
 
-  auto first = encoder.QuerySubgraph(history, queries, d.num_entities());
-  auto second = encoder.QuerySubgraph(history, queries, d.num_entities());
-  EXPECT_EQ(first.get(), second.get());  // cache hit: same graph object
-
-  // The cached result is the same graph BuildQuerySubgraph produces.
-  SnapshotGraph direct =
+  SnapshotGraph first =
       encoder.BuildQuerySubgraph(history, queries, d.num_entities());
-  EXPECT_EQ(first->src, direct.src);
-  EXPECT_EQ(first->rel, direct.rel);
-  EXPECT_EQ(first->dst, direct.dst);
-
-  // Different query sets key different entries.
-  std::vector<Quadruple> other = {queries.front()};
-  auto third = encoder.QuerySubgraph(history, other, d.num_entities());
-  EXPECT_NE(first.get(), third.get());
-
-  // Disabling the cache returns fresh graphs.
-  GlobalEncoderOptions uncached;
-  uncached.cache_query_subgraphs = false;
-  Rng rng2(80);
-  GlobalEncoder cold(8, uncached, &rng2);
-  auto a = cold.QuerySubgraph(history, queries, d.num_entities());
-  auto b = cold.QuerySubgraph(history, queries, d.num_entities());
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(a->src, b->src);
+  SnapshotGraph second =
+      encoder.BuildQuerySubgraph(history, queries, d.num_entities());
+  ASSERT_GT(first.num_edges(), 0);
+  EXPECT_EQ(first.src, second.src);
+  EXPECT_EQ(first.rel, second.rel);
+  EXPECT_EQ(first.dst, second.dst);
 }
 
 TEST(QuerySubgraphTest, EdgesAreDeduplicatedAndSorted) {

@@ -1,9 +1,8 @@
 // Tests for the unified observability layer (common/observability.h):
 // counter/histogram correctness, the multi-thread shard merge (run under
 // TSan via the *Observability* filter in ci.yml), tracer nesting and path
-// interning, the disabled-mode zero-allocation contract, the exporters,
-// and the structured EpochStats training API that replaced the scalar
-// TrainEpoch return.
+// interning, the exporters, and the structured EpochStats training API that
+// replaced the scalar TrainEpoch return.
 
 #include <cmath>
 #include <sstream>
@@ -23,24 +22,8 @@ namespace {
 
 // Metric names are interned process-wide for the binary's lifetime, so every
 // test uses its own obs_test.* names to stay independent of ordering.
-//
-// CI runs the whole suite under both LOGCL_OBSERVABILITY=0 and =1; the
-// fixture pins recording on for the test body (restoring after) so the
-// assertions hold either way — the disabled-mode test flips it back off
-// itself.
-class ObservabilityTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    was_enabled_ = ObservabilityEnabled();
-    SetObservabilityEnabled(true);
-  }
-  void TearDown() override { SetObservabilityEnabled(was_enabled_); }
 
- private:
-  bool was_enabled_ = true;
-};
-
-TEST_F(ObservabilityTest, CounterAccumulatesAndSnapshots) {
+TEST(ObservabilityTest, CounterAccumulatesAndSnapshots) {
   Counter* c = Metrics().GetCounter("obs_test.counter.basic");
   c->Increment();
   c->Add(41);
@@ -51,14 +34,14 @@ TEST_F(ObservabilityTest, CounterAccumulatesAndSnapshots) {
   EXPECT_EQ(Metrics().Snapshot().CounterValue("obs_test.counter.basic"), 50u);
 }
 
-TEST_F(ObservabilityTest, GaugeIsLastValue) {
+TEST(ObservabilityTest, GaugeIsLastValue) {
   Gauge* g = Metrics().GetGauge("obs_test.gauge.basic");
   g->Set(7);
   g->Add(-3);
   EXPECT_EQ(Metrics().Snapshot().GaugeValue("obs_test.gauge.basic"), 4);
 }
 
-TEST_F(ObservabilityTest, MissingMetricsReadAsZero) {
+TEST(ObservabilityTest, MissingMetricsReadAsZero) {
   MetricsSnapshot snap = Metrics().Snapshot();
   EXPECT_EQ(snap.Find("obs_test.never_created"), nullptr);
   EXPECT_EQ(snap.CounterValue("obs_test.never_created"), 0u);
@@ -66,7 +49,7 @@ TEST_F(ObservabilityTest, MissingMetricsReadAsZero) {
   EXPECT_EQ(snap.HistogramValue("obs_test.never_created").count, 0u);
 }
 
-TEST_F(ObservabilityTest, HistogramCountSumMaxMean) {
+TEST(ObservabilityTest, HistogramCountSumMaxMean) {
   Histogram* h = Metrics().GetHistogram("obs_test.hist.moments");
   for (uint64_t v : {3u, 5u, 100u, 1000u}) h->Record(v);
   HistogramSnapshot snap =
@@ -77,7 +60,7 @@ TEST_F(ObservabilityTest, HistogramCountSumMaxMean) {
   EXPECT_DOUBLE_EQ(snap.Mean(), 277.0);
 }
 
-TEST_F(ObservabilityTest, HistogramBucketLayoutIsMonotonicAndExactForSmall) {
+TEST(ObservabilityTest, HistogramBucketLayoutIsMonotonicAndExactForSmall) {
   // Values 0..7 land in exact unit buckets.
   for (uint64_t v = 0; v < 8; ++v) {
     int index = HistogramBuckets::Index(v);
@@ -96,7 +79,7 @@ TEST_F(ObservabilityTest, HistogramBucketLayoutIsMonotonicAndExactForSmall) {
   }
 }
 
-TEST_F(ObservabilityTest, HistogramPercentileWithinBucketResolution) {
+TEST(ObservabilityTest, HistogramPercentileWithinBucketResolution) {
   Histogram* h = Metrics().GetHistogram("obs_test.hist.percentile");
   for (uint64_t v = 1; v <= 1000; ++v) h->Record(v);
   HistogramSnapshot snap =
@@ -111,7 +94,7 @@ TEST_F(ObservabilityTest, HistogramPercentileWithinBucketResolution) {
 // Shard-merge correctness under contention: hammered by several threads,
 // the merged totals must be exact once the writers have joined. This test
 // runs under TSan in CI to prove the lock-free write path is race-free.
-TEST_F(ObservabilityTest, MultiThreadMergeIsExact) {
+TEST(ObservabilityTest, MultiThreadMergeIsExact) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   Counter* c = Metrics().GetCounter("obs_test.counter.mt");
@@ -134,8 +117,7 @@ TEST_F(ObservabilityTest, MultiThreadMergeIsExact) {
   EXPECT_EQ(hist.sum, static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST_F(ObservabilityTest, TracerNestingBuildsHierarchicalPaths) {
-  ASSERT_TRUE(ObservabilityEnabled());
+TEST(ObservabilityTest, TracerNestingBuildsHierarchicalPaths) {
   int64_t base_depth = TraceDepthForTest();
   {
     LOGCL_TRACE_SCOPE("obs_outer");
@@ -152,7 +134,7 @@ TEST_F(ObservabilityTest, TracerNestingBuildsHierarchicalPaths) {
   EXPECT_GE(snap.HistogramValue("logcl.trace.obs_outer/obs_inner").count, 1u);
 }
 
-TEST_F(ObservabilityTest, SameLeafUnderDifferentParentsIsDistinct) {
+TEST(ObservabilityTest, SameLeafUnderDifferentParentsIsDistinct) {
   {
     LOGCL_TRACE_SCOPE("obs_parent_a");
     LOGCL_TRACE_SCOPE("obs_leaf");
@@ -168,30 +150,7 @@ TEST_F(ObservabilityTest, SameLeafUnderDifferentParentsIsDistinct) {
             1u);
 }
 
-TEST_F(ObservabilityTest, DisabledModeRecordsNothingAndAllocatesNothing) {
-  Counter* c = Metrics().GetCounter("obs_test.counter.disabled");
-  Histogram* h = Metrics().GetHistogram("obs_test.hist.disabled");
-  c->Add(5);
-  h->Record(5);
-  SetObservabilityEnabled(false);
-  uint64_t metrics_before = Metrics().MetricCountForTest();
-  uint64_t interns_before = TraceInternCountForTest();
-  for (int i = 0; i < 1000; ++i) {
-    c->Add(1);
-    h->Record(1);
-    LOGCL_TRACE_SCOPE("obs_disabled_scope");  // must not intern a path
-  }
-  SetObservabilityEnabled(true);
-  // No new metric or trace path came into existence while disabled, and the
-  // pre-existing handles saw none of the writes.
-  EXPECT_EQ(Metrics().MetricCountForTest(), metrics_before);
-  EXPECT_EQ(TraceInternCountForTest(), interns_before);
-  MetricsSnapshot snap = Metrics().Snapshot();
-  EXPECT_EQ(snap.CounterValue("obs_test.counter.disabled"), 5u);
-  EXPECT_EQ(snap.HistogramValue("obs_test.hist.disabled").count, 1u);
-}
-
-TEST_F(ObservabilityTest, PoolSourcePublishesUnderRegistryNames) {
+TEST(ObservabilityTest, PoolSourcePublishesUnderRegistryNames) {
   // Drive some traffic through the pool, then check the registered source
   // surfaces the same numbers as PoolSnapshot() under the logcl.pool.*
   // schema (DESIGN.md §12).
@@ -203,7 +162,7 @@ TEST_F(ObservabilityTest, PoolSourcePublishesUnderRegistryNames) {
   EXPECT_NE(snap.Find("logcl.pool.live_bytes"), nullptr);
 }
 
-TEST_F(ObservabilityTest, DumpMetricsTextAndJsonShapes) {
+TEST(ObservabilityTest, DumpMetricsTextAndJsonShapes) {
   Metrics().GetCounter("obs_test.counter.dump")->Add(3);
   Metrics().GetHistogram("obs_test.hist.dump")->Record(12);
   std::ostringstream text;
@@ -247,7 +206,7 @@ LogClConfig ObsConfig() {
   return config;
 }
 
-TEST_F(ObservabilityTest, EpochStatsComponentsSumToLoss) {
+TEST(ObservabilityTest, EpochStatsComponentsSumToLoss) {
   TkgDataset data = ObsData();
   LogClModel model(&data, ObsConfig());
   AdamOptimizer optimizer(model.Parameters(), {});
@@ -267,7 +226,7 @@ TEST_F(ObservabilityTest, EpochStatsComponentsSumToLoss) {
   EXPECT_FALSE(stats.ToString().empty());
 }
 
-TEST_F(ObservabilityTest, TrainEpochLossShimMatchesStructuredLoss) {
+TEST(ObservabilityTest, TrainEpochLossShimMatchesStructuredLoss) {
   // Two identical models (same data, config, seed) step in lockstep: the
   // deprecated scalar shim must return exactly the structured total.
   TkgDataset data_a = ObsData();
@@ -281,7 +240,7 @@ TEST_F(ObservabilityTest, TrainEpochLossShimMatchesStructuredLoss) {
   EXPECT_NEAR(structured, shim, 1e-9 * std::max(1.0, std::abs(structured)));
 }
 
-TEST_F(ObservabilityTest, TrainEpochFeedsTraceHistograms) {
+TEST(ObservabilityTest, TrainEpochFeedsTraceHistograms) {
   TkgDataset data = ObsData();
   LogClModel model(&data, ObsConfig());
   AdamOptimizer optimizer(model.Parameters(), {});

@@ -124,11 +124,11 @@ TEST(RuntimeConfigTest, NumThreadsEnvKeepsAutoOnBadInput) {
 
 TEST(RuntimeConfigTest, EffectiveConfigListsEachKnobOnce) {
   const std::set<std::string> expected = {
-      "LOGCL_NUM_THREADS",   "LOGCL_TENSOR_POOL",  "LOGCL_POISON_UNINIT",
-      "LOGCL_POOL_MAX_MB",   "LOGCL_SIMD",         "LOGCL_QUANT",
-      "LOGCL_OBSERVABILITY", "LOGCL_METRICS_DUMP", "LOGCL_METRICS_DUMP_FILE",
+      "LOGCL_NUM_THREADS", "LOGCL_POISON_UNINIT", "LOGCL_POOL_MAX_MB",
+      "LOGCL_SIMD",        "LOGCL_QUANT",         "LOGCL_METRICS_DUMP",
+      "LOGCL_METRICS_DUMP_FILE",
   };
-  EXPECT_EQ(expected.size(), 9u);
+  EXPECT_EQ(expected.size(), 7u);
   std::multiset<std::string> listed;
   for (const RuntimeConfigEntry& entry : EffectiveConfig()) {
     listed.insert(entry.env);

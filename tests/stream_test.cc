@@ -123,9 +123,7 @@ TEST(StreamCheckpointTest, WritebackAllRoundTripsAndRejectsBadInput) {
 // again. Without the global-tier byte cap the process grows without bound
 // (observed: ~750 MiB/ingest at bench_stream's full profile).
 TEST(StreamPoolCapTest, GlobalTierStaysBoundedUnderSizeDrift) {
-  const bool pool_was = BufferPoolEnabled();
   const int64_t cap_was = BufferPoolCapBytes();
-  SetBufferPoolEnabled(true);
   TrimBufferPool();
   const int64_t cap = int64_t{100} << 20;  // 100 MiB global tier
   SetBufferPoolCapBytes(cap);
@@ -154,7 +152,6 @@ TEST(StreamPoolCapTest, GlobalTierStaysBoundedUnderSizeDrift) {
 
   SetBufferPoolCapBytes(cap_was);
   TrimBufferPool();
-  SetBufferPoolEnabled(pool_was);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,8 +416,6 @@ TEST(StreamSessionTest, IngestLeavesNothingPooled) {
   // Ingest shapes grow with the history, so buffers pooled by one ingest
   // would never be reused; each ingest trims them instead of letting them
   // pile up to the global-tier cap.
-  const bool pool_was = BufferPoolEnabled();
-  SetBufferPoolEnabled(true);
   StreamConfig stream = SmallStreamConfig();
   StreamGenerator gen(stream);
   TkgDataset dataset = gen.WarmupDataset();
@@ -435,7 +430,6 @@ TEST(StreamSessionTest, IngestLeavesNothingPooled) {
       EXPECT_EQ(PoolSnapshot().pooled_bytes, 0u) << "ingest " << ingest;
     }
   }
-  SetBufferPoolEnabled(pool_was);
 }
 
 TEST(StreamSessionTest, MmapWritebackPersistsFineTunedRows) {

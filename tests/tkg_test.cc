@@ -155,26 +155,54 @@ TEST(TkgDatasetTest, LoadTsvNegativeIdIsInvalidArgument) {
   fs::remove_all(dir);
 }
 
-TEST(TkgDatasetTest, LoadTsvHugeTimestampIsInvalidArgument) {
+// Writes a train.txt whose third row carries `bad_row` after two rows at
+// the accepted limits, loads the directory and expects InvalidArgument
+// naming train.txt:3.
+void ExpectThirdTrainRowRejected(const std::string& test_name,
+                                 const std::string& limit_row,
+                                 const std::string& bad_row) {
+  SCOPED_TRACE(test_name);
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "logcl_tsv_huge_time_test";
+  fs::path dir = fs::temp_directory_path() / test_name;
   fs::create_directories(dir);
-  {
-    std::ofstream train(dir / "train.txt");
-    train << "0\t0\t1\t0\n"
-          << "1\t0\t2\t" << TkgDataset::kMaxTimestamp << "\n"
-          << "2\t0\t1\t4000000000000\n";
-  }
+  std::ofstream(dir / "train.txt") << "0\t0\t1\t0\n"
+                                   << limit_row << "\n"
+                                   << bad_row << "\n";
   for (const char* split : {"valid.txt", "test.txt"}) {
     std::ofstream(dir / split) << "0\t0\t1\t1\n";
   }
-  Result<TkgDataset> r = TkgDataset::LoadTsv(dir.string(), "huge_time");
+  Result<TkgDataset> r = TkgDataset::LoadTsv(dir.string(), test_name);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::string where = (dir / "train.txt").string() + ":3";
   EXPECT_NE(r.status().ToString().find(where), std::string::npos)
       << r.status().ToString();
   fs::remove_all(dir);
+}
+
+TEST(TkgDatasetTest, LoadTsvHugeTimestampIsInvalidArgument) {
+  ExpectThirdTrainRowRejected(
+      "logcl_tsv_huge_time_test",
+      "1\t0\t2\t" + std::to_string(TkgDataset::kMaxTimestamp),
+      "2\t0\t1\t4000000000000");
+}
+
+TEST(TkgDatasetTest, LoadTsvHugeEntityIdIsInvalidArgument) {
+  const std::string max = std::to_string(TkgDataset::kMaxEntityId);
+  ExpectThirdTrainRowRejected("logcl_tsv_huge_entity_test",
+                              "0\t0\t" + max + "\t1",
+                              "4000000000000\t0\t1\t1");
+  ExpectThirdTrainRowRejected("logcl_tsv_huge_object_test",
+                              max + "\t0\t1\t1",
+                              "0\t0\t" + std::to_string(
+                                  TkgDataset::kMaxEntityId + 1) + "\t1");
+}
+
+TEST(TkgDatasetTest, LoadTsvHugeRelationIdIsInvalidArgument) {
+  const std::string max = std::to_string(TkgDataset::kMaxRelationId);
+  ExpectThirdTrainRowRejected("logcl_tsv_huge_relation_test",
+                              "0\t" + max + "\t1\t1",
+                              "0\t4000000000000\t1\t1");
 }
 
 TEST(TkgDatasetTest, LoadTsvMissingDirFails) {
