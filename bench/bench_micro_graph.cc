@@ -150,17 +150,17 @@ void BM_GlobalEncode(benchmark::State& state) {
   GlobalEncoder encoder(32, {}, &rng);
   std::vector<Quadruple> queries =
       dataset->WithInverses(dataset->FactsAt(60));
-  SnapshotGraph graph = encoder.BuildQuerySubgraph(*history, queries,
-                                                   dataset->num_entities());
-  graph.DstCsr();  // structure built once, outside the timed loop
+  QuerySubgraph subgraph = encoder.BuildQuerySubgraph(
+      *history, queries, dataset->num_entities());
+  subgraph.graph.DstCsr();  // structure built once, outside the timed loop
   Tensor h0 = Tensor::XavierUniform(Shape{dataset->num_entities(), 32}, &rng);
   Tensor r0 = Tensor::XavierUniform(
       Shape{dataset->num_relations_with_inverse(), 32}, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        encoder.Encode(graph, h0, r0, /*training=*/false, nullptr));
+        encoder.Encode(subgraph, h0, r0, /*training=*/false, nullptr));
   }
-  state.SetItemsProcessed(state.iterations() * graph.num_edges());
+  state.SetItemsProcessed(state.iterations() * subgraph.graph.num_edges());
 }
 BENCHMARK(BM_GlobalEncode);
 

@@ -7,6 +7,11 @@
 // history before t_q. A second (stacked) R-GCN encodes it from the base
 // embeddings (the subgraph carries no time information), and a
 // query-conditioned gate selects the relevant part (Eq.13-14).
+//
+// The subgraph is compact: its nodes are numbered 0..n-1 over the entities
+// it touches, so the encoder computes n rows, not one per entity. Each row
+// is bitwise equal to that entity's row of the same encoder run over the
+// whole entity table, forward and backward (graph/rel_graph_layer.h).
 
 #ifndef LOGCL_CORE_GLOBAL_ENCODER_H_
 #define LOGCL_CORE_GLOBAL_ENCODER_H_
@@ -33,21 +38,46 @@ struct GlobalEncoderOptions {
   int64_t max_answers_per_query = 6;
 };
 
+/// The historical query subgraph of one query batch, in compact node ids.
+struct QuerySubgraph {
+  /// Edges in compact ids: graph node i is entity node_ids[i]. Edge order
+  /// is sorted by entity-space (s, r, o), hence deterministic.
+  SnapshotGraph graph;
+  /// Compact -> entity id, strictly ascending: the edge endpoints, the query
+  /// subjects and their kept historical answers (every entity when built
+  /// with `every_entity`).
+  std::vector<int64_t> node_ids;
+  /// graph.src as entity ids: the rows the first layer reads from the
+  /// entity table.
+  std::vector<int64_t> entity_src;
+  /// Rows of the entity table the subgraph was built against.
+  int64_t num_entities = 0;
+  /// Compact id of each query's subject.
+  std::vector<int64_t> subject_pos;
+  /// Compact ids of the queries' kept historical answers, flat in query
+  /// order, and the query each belongs to.
+  std::vector<int64_t> answer_pos;
+  std::vector<int64_t> answer_query;
+};
+
 class GlobalEncoder : public Module {
  public:
   GlobalEncoder(int64_t dim, GlobalEncoderOptions options, Rng* rng);
 
   /// Samples the historical query subgraph for `queries` at their time
   /// (all queries must share one timestamp). Edges are deduplicated
-  /// (sort+unique on packed (s, r, o) keys; edge order is sorted, hence
-  /// deterministic).
-  SnapshotGraph BuildQuerySubgraph(const HistoryIndex& history,
+  /// (sort+unique on packed (s, r, o) keys). With `every_entity` the node
+  /// set is the whole entity table (LogCL-G scores candidates against the
+  /// encoded matrix).
+  QuerySubgraph BuildQuerySubgraph(const HistoryIndex& history,
                                    const std::vector<Quadruple>& queries,
-                                   int64_t num_entities) const;
+                                   int64_t num_entities,
+                                   bool every_entity = false) const;
 
-  /// Message passing over the subgraph from the base embeddings; returns
-  /// H_g^Agg [E, d].
-  Tensor Encode(const SnapshotGraph& graph, const Tensor& base_entities,
+  /// Message passing over the subgraph from the base embeddings
+  /// [num_entities, d]; returns H_g^Agg [n, d], row i for entity
+  /// subgraph.node_ids[i].
+  Tensor Encode(const QuerySubgraph& subgraph, const Tensor& base_entities,
                 const Tensor& base_relations, bool training, Rng* rng) const;
 
   /// Eq.13-14: per-query gated global representation [B, d]. The paper's
@@ -60,10 +90,11 @@ class GlobalEncoder : public Module {
   /// answers) into the representation:
   ///   h_g = beta * (H^Agg[s] + mean_{o in answers(s, r, <t)} H^Agg[o]).
   /// With `use_attention` false, the gate is dropped (ablation -w/o-eatt).
-  Tensor QueryRepresentations(const Tensor& encoded,
+  /// `encoded` is Encode's output for `subgraph`, built from `queries`.
+  Tensor QueryRepresentations(const QuerySubgraph& subgraph,
+                              const Tensor& encoded,
                               const Tensor& base_entities,
                               const std::vector<Quadruple>& queries,
-                              const HistoryIndex& history,
                               bool use_attention) const;
 
   const GlobalEncoderOptions& options() const { return options_; }

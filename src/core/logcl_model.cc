@@ -91,12 +91,15 @@ LogClModel::ScoreParts LogClModel::ScorePhase(
   // --- Global branch (Eq.12-14). ---
   Tensor global_encoded;
   if (config_.use_global) {
-    SnapshotGraph subgraph = global_encoder_.BuildQuerySubgraph(
-        history, queries, dataset().num_entities());
+    // LogCL-G scores candidates against the encoded matrix, so its node
+    // set is every entity; otherwise only the subgraph's rows are encoded.
+    QuerySubgraph subgraph = global_encoder_.BuildQuerySubgraph(
+        history, queries, dataset().num_entities(),
+        /*every_entity=*/!config_.use_local);
     global_encoded = global_encoder_.Encode(subgraph, h0, base_relations_,
                                             training, rng);
     parts.global_query = global_encoder_.QueryRepresentations(
-        global_encoded, h0, queries, history, config_.use_entity_attention);
+        subgraph, global_encoded, h0, queries, config_.use_entity_attention);
   }
 
   // --- Fusion (Eq.19). The lambda trade-off applies to the *query* vector

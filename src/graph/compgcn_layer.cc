@@ -14,19 +14,18 @@ CompGcnLayer::CompGcnLayer(int64_t dim, CompGcnComposition composition,
 
 Tensor CompGcnLayer::Forward(const SnapshotGraph& graph, const Tensor& nodes,
                              const Tensor& relations, bool training,
-                             Rng* rng) const {
-  LOGCL_CHECK_EQ(nodes.shape().rows(), graph.num_nodes);
-  Tensor self = ops::MatMul(nodes, w_self_loop_);
+                             Rng* rng, const StepRows& rows) const {
+  Tensor self = ops::MatMul(rows.SelfInput(graph, nodes), w_self_loop_);
   if (graph.empty()) {
-    return ops::RRelu(self, training, rng);
+    return ops::RRelu(self, training, rng, rows.table);
   }
   ops::EdgeCompose compose = composition_ == CompGcnComposition::kSubtract
                                  ? ops::EdgeCompose::kSubtract
                                  : ops::EdgeCompose::kMultiply;
-  Tensor aggregated =
-      ops::FusedRelMessagePassing(nodes, relations, w_message_, graph.src,
-                                  graph.rel, graph.dst, graph.DstCsr(), compose);
-  return ops::RRelu(ops::Add(aggregated, self), training, rng);
+  Tensor aggregated = ops::FusedRelMessagePassing(
+      nodes, relations, w_message_, rows.Src(graph), graph.rel, graph.dst,
+      graph.DstCsr(), compose);
+  return ops::RRelu(ops::Add(aggregated, self), training, rng, rows.table);
 }
 
 }  // namespace logcl

@@ -22,8 +22,8 @@ class CompGcnLayer : public RelGraphLayer {
   CompGcnLayer(int64_t dim, CompGcnComposition composition, Rng* rng);
 
   Tensor Forward(const SnapshotGraph& graph, const Tensor& nodes,
-                 const Tensor& relations, bool training,
-                 Rng* rng) const override;
+                 const Tensor& relations, bool training, Rng* rng,
+                 const StepRows& rows = {}) const override;
 
  private:
   CompGcnComposition composition_;

@@ -16,18 +16,18 @@ KbgatLayer::KbgatLayer(int64_t dim, Rng* rng) {
 }
 
 Tensor KbgatLayer::Forward(const SnapshotGraph& graph, const Tensor& nodes,
-                           const Tensor& relations, bool training,
-                           Rng* rng) const {
-  LOGCL_CHECK_EQ(nodes.shape().rows(), graph.num_nodes);
-  Tensor self = ops::MatMul(nodes, w_self_loop_);
+                           const Tensor& relations, bool training, Rng* rng,
+                           const StepRows& rows) const {
+  Tensor self = ops::MatMul(rows.SelfInput(graph, nodes), w_self_loop_);
   if (graph.empty()) {
-    return ops::RRelu(self, training, rng);
+    return ops::RRelu(self, training, rng, rows.table);
   }
   // The attention needs the materialized per-edge messages, so only the
   // gather+compose+matmul front is fused; softmax/scatter read the cached
   // CSR layout.
-  Tensor messages = ops::EdgeMessages(nodes, relations, w_message_, graph.src,
-                                      graph.rel, ops::EdgeCompose::kAdd);
+  Tensor messages =
+      ops::EdgeMessages(nodes, relations, w_message_, rows.Src(graph),
+                        graph.rel, ops::EdgeCompose::kAdd);
   Tensor receivers = ops::IndexSelectRows(self, graph.dst);
   Tensor logits = ops::LeakyRelu(
       ops::MatMul(ops::ConcatCols({messages, receivers}), attention_),
@@ -35,7 +35,7 @@ Tensor KbgatLayer::Forward(const SnapshotGraph& graph, const Tensor& nodes,
   Tensor alpha = ops::SegmentSoftmax(logits, graph.DstCsr());
   Tensor aggregated = ops::ScatterAddRows(
       ops::MulColBroadcast(messages, alpha), graph.DstCsr());
-  return ops::RRelu(ops::Add(aggregated, self), training, rng);
+  return ops::RRelu(ops::Add(aggregated, self), training, rng, rows.table);
 }
 
 }  // namespace logcl

@@ -20,8 +20,8 @@ class KbgatLayer : public RelGraphLayer {
   KbgatLayer(int64_t dim, Rng* rng);
 
   Tensor Forward(const SnapshotGraph& graph, const Tensor& nodes,
-                 const Tensor& relations, bool training,
-                 Rng* rng) const override;
+                 const Tensor& relations, bool training, Rng* rng,
+                 const StepRows& rows = {}) const override;
 
  private:
   Tensor w_message_;

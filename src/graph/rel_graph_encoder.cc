@@ -60,15 +60,28 @@ RelGraphEncoder::RelGraphEncoder(GcnKind kind, int64_t num_layers, int64_t dim,
   }
 }
 
+Tensor StepRows::SelfInput(const SnapshotGraph& graph,
+                           const Tensor& nodes) const {
+  if (table_src == nullptr) {
+    LOGCL_CHECK_EQ(nodes.shape().rows(), graph.num_nodes);
+    return nodes;
+  }
+  LOGCL_CHECK_EQ(nodes.shape().rows(), table.table_rows);
+  LOGCL_CHECK_EQ(static_cast<int64_t>(table.ids->size()), graph.num_nodes);
+  return ops::IndexSelectRows(nodes, *table.ids);
+}
+
 Tensor RelGraphEncoder::Forward(const SnapshotGraph& graph, const Tensor& nodes,
                                 const Tensor& relations, bool training,
-                                Rng* rng) const {
+                                Rng* rng, const StepRows& rows) const {
   LOGCL_TRACE_SCOPE("gcn");
+  StepRows step = rows;
   Tensor h = nodes;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->Forward(graph, h, relations, training, rng);
+    h = layers_[i]->Forward(graph, h, relations, training, rng, step);
+    step.table_src = nullptr;  // later steps read the compact output
     if (i + 1 < layers_.size()) {
-      h = ops::Dropout(h, dropout_, training, rng);
+      h = ops::Dropout(h, dropout_, training, rng, step.table);
     }
   }
   return h;

@@ -35,8 +35,11 @@ class RelGraphEncoder : public Module {
                   Rng* rng);
 
   /// Applies the stacked layers; `training` toggles dropout/RReLU noise.
+  /// `rows` is the first step's layout (StepRows); later steps of a compact
+  /// graph run on the compact rows the first one returns.
   Tensor Forward(const SnapshotGraph& graph, const Tensor& nodes,
-                 const Tensor& relations, bool training, Rng* rng) const;
+                 const Tensor& relations, bool training, Rng* rng,
+                 const StepRows& rows = {}) const;
 
   int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }
   GcnKind kind() const { return kind_; }

@@ -11,17 +11,16 @@ RgcnLayer::RgcnLayer(int64_t dim, Rng* rng) {
 }
 
 Tensor RgcnLayer::Forward(const SnapshotGraph& graph, const Tensor& nodes,
-                          const Tensor& relations, bool training,
-                          Rng* rng) const {
-  LOGCL_CHECK_EQ(nodes.shape().rows(), graph.num_nodes);
-  Tensor self = ops::MatMul(nodes, w_self_loop_);
+                          const Tensor& relations, bool training, Rng* rng,
+                          const StepRows& rows) const {
+  Tensor self = ops::MatMul(rows.SelfInput(graph, nodes), w_self_loop_);
   if (graph.empty()) {
-    return ops::RRelu(self, training, rng);
+    return ops::RRelu(self, training, rng, rows.table);
   }
   Tensor aggregated = ops::FusedRelMessagePassing(
-      nodes, relations, w_message_, graph.src, graph.rel, graph.dst,
+      nodes, relations, w_message_, rows.Src(graph), graph.rel, graph.dst,
       graph.DstCsr(), ops::EdgeCompose::kAdd);
-  return ops::RRelu(ops::Add(aggregated, self), training, rng);
+  return ops::RRelu(ops::Add(aggregated, self), training, rng, rows.table);
 }
 
 }  // namespace logcl

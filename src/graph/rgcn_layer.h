@@ -15,8 +15,8 @@ class RgcnLayer : public RelGraphLayer {
   RgcnLayer(int64_t dim, Rng* rng);
 
   Tensor Forward(const SnapshotGraph& graph, const Tensor& nodes,
-                 const Tensor& relations, bool training,
-                 Rng* rng) const override;
+                 const Tensor& relations, bool training, Rng* rng,
+                 const StepRows& rows = {}) const override;
 
  private:
   Tensor w_message_;   // W1

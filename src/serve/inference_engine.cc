@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "common/logging.h"
 #include "eval/ranking.h"
@@ -70,6 +71,9 @@ InferenceEngine::~InferenceEngine() {
 Result<std::future<InferenceEngine::EngineResponse>> InferenceEngine::Submit(
     const ServeQuery& query, int64_t k) {
   LOGCL_RETURN_IF_ERROR(ValidateServeQuery(model_->dataset(), query));
+  if (k < 0) {
+    return Status::InvalidArgument("k must be >= 0, got " + std::to_string(k));
+  }
   Request request;
   request.query = query;
   request.k = k;
@@ -119,7 +123,10 @@ Result<std::vector<float>> InferenceEngine::TryScore(
 
 Result<std::vector<std::pair<int64_t, float>>> InferenceEngine::TryTopK(
     const ServeQuery& query, int64_t k) {
-  LOGCL_CHECK_GE(k, 1);
+  if (k < 1) {
+    return Status::InvalidArgument("top-k needs k >= 1, got " +
+                                   std::to_string(k));
+  }
   Result<std::future<EngineResponse>> submitted = Submit(query, k);
   if (!submitted.ok()) return submitted.status();
   EngineResponse response = submitted.value().get();

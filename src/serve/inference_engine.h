@@ -22,7 +22,8 @@
 // response carries kUnavailable). Sheds surface as the `logcl.serve.shed`
 // counter and EngineStats::shed. Submit's rejection taxonomy: kUnavailable
 // = shed (retryable backpressure), kFailedPrecondition = engine shutting
-// down, kInvalidArgument = ids out of range (caller bug, not load).
+// down, kInvalidArgument = ids out of range or k < 0 (caller bug, not
+// load).
 // Observability: per-engine counters are available via Snapshot(); the same
 // activity feeds the process-wide metrics registry as `logcl.serve.*`
 // counters, latency/batch-size histograms and a queue-depth gauge
@@ -122,11 +123,11 @@ class InferenceEngine {
   };
 
   /// Typed submission: validates and enqueues the query, returning the
-  /// future that will carry its answer. Rejections are immediate and typed:
-  /// kInvalidArgument (ids out of range), kFailedPrecondition (engine
-  /// shutting down), kUnavailable (queue at max_queue_depth — shed). A
-  /// deadline shed after queueing arrives through the future's
-  /// EngineResponse::status instead.
+  /// future that will carry its answer (k == 0: the full row; k > 0: the
+  /// top k). Rejections are immediate and typed: kInvalidArgument (ids out
+  /// of range, k < 0), kFailedPrecondition (engine shutting down),
+  /// kUnavailable (queue at max_queue_depth — shed). A deadline shed after
+  /// queueing arrives through the future's EngineResponse::status instead.
   Result<std::future<EngineResponse>> Submit(const ServeQuery& query,
                                              int64_t k);
 
@@ -141,7 +142,8 @@ class InferenceEngine {
                                               int64_t k);
 
   /// Typed blocking variants: a shed (at submit or at batch formation)
-  /// surfaces as kUnavailable instead of crashing.
+  /// surfaces as kUnavailable instead of crashing, and TryTopK answers
+  /// k < 1 with kInvalidArgument before submitting.
   Result<std::vector<float>> TryScore(const ServeQuery& query);
   Result<std::vector<std::pair<int64_t, float>>> TryTopK(
       const ServeQuery& query, int64_t k);

@@ -29,6 +29,32 @@ namespace {
 // thread can reuse them.
 constexpr size_t kThreadCacheMaxBytes = size_t{32} << 20;
 
+// Size classes, four per octave above 8 elements (8, 10, 12, 14, 16, 20,
+// ...): a pooled buffer's capacity is its class, so requests whose sizes
+// drift by a few rows (the global encoder's compact subgraphs, streaming's
+// growing history) reuse one bucket, at a cost of at most 25% slack.
+// A request takes the smallest class that holds it; a released buffer
+// files under the largest class its capacity covers.
+size_t QuarterOctave(size_t n) {
+  return size_t{1} << (63 - __builtin_clzll(n) - 2);
+}
+
+size_t ClassCeil(size_t n) {
+  if (n <= 8) return n;
+  const size_t step = QuarterOctave(n);
+  return (n + step - 1) / step * step;
+}
+
+size_t ClassFloor(size_t n) {
+  if (n <= 8) return n;
+  const size_t step = QuarterOctave(n);
+  return n / step * step;
+}
+
+size_t CapacityBytes(const std::vector<float>& buffer) {
+  return buffer.capacity() * sizeof(float);
+}
+
 std::atomic<bool>& PoisonFlag() {
   static std::atomic<bool> flag(RuntimeConfig::Get().poison_uninit);
   return flag;
@@ -107,17 +133,17 @@ void NoteLiveDelta(int64_t delta_bytes) {
   }
 }
 
-// Global tier: exact-size buckets behind a mutex. The mutex acquire/release
+// Global tier: size-class buckets behind a mutex. The mutex acquire/release
 // pair is the happens-before edge for buffers handed across threads.
 class GlobalPool {
  public:
-  bool Pop(size_t num_elements, std::vector<float>* out) {
+  bool Pop(size_t size_class, std::vector<float>* out) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = buckets_.find(num_elements);
+    auto it = buckets_.find(size_class);
     if (it == buckets_.end() || it->second.empty()) return false;
     *out = std::move(it->second.back());
     it->second.pop_back();
-    bytes_ -= static_cast<int64_t>(num_elements * sizeof(float));
+    bytes_ -= static_cast<int64_t>(CapacityBytes(*out));
     return true;
   }
 
@@ -128,8 +154,7 @@ class GlobalPool {
   // (buffers, bytes) dropped — including `buffer` itself when it alone
   // exceeds the cap — so the caller can settle the pooled_* stat gauges.
   std::pair<int64_t, int64_t> Push(std::vector<float>&& buffer) {
-    const int64_t incoming = static_cast<int64_t>(buffer.size() *
-                                                  sizeof(float));
+    const int64_t incoming = static_cast<int64_t>(CapacityBytes(buffer));
     const int64_t cap = BufferPoolCapBytes();
     std::lock_guard<std::mutex> lock(mu_);
     std::pair<int64_t, int64_t> dropped{0, 0};
@@ -139,7 +164,7 @@ class GlobalPool {
       dropped.second += incoming;
       return dropped;  // buffer dies here: it could never be cap-resident
     }
-    buckets_[buffer.size()].push_back(std::move(buffer));
+    buckets_[ClassFloor(buffer.capacity())].push_back(std::move(buffer));
     bytes_ += incoming;
     return dropped;
   }
@@ -176,13 +201,13 @@ GlobalPool& Global() {
 // exhausted and flushes there when the thread exits. Only the owning thread
 // pushes and pops, so its lock is uncontended except while TrimBufferPool
 // drains the cache from another thread. A small direct-mapped "front" (one
-// buffer per slot, keyed by exact size) serves the op-chain steady state —
+// buffer per slot, keyed by size class) serves the op-chain steady state —
 // the same handful of shapes cycling acquire/release — without touching the
 // bucket map.
 struct ThreadCache {
   static constexpr size_t kFrontSlots = 8;
   struct Slot {
-    size_t num_elements = 0;
+    size_t size_class = 0;
     std::vector<float> buffer;
   };
   Slot front[kFrontSlots];
@@ -233,43 +258,43 @@ struct ThreadCache {
     });
   }
 
-  static size_t SlotIndex(size_t num_elements) {
+  static size_t SlotIndex(size_t size_class) {
     // Fibonacci hash; top bits select among kFrontSlots.
-    return (num_elements * size_t{0x9E3779B97F4A7C15}) >> 61;
+    return (size_class * size_t{0x9E3779B97F4A7C15}) >> 61;
   }
 
-  bool Pop(size_t num_elements, std::vector<float>* out) {
+  bool Pop(size_t size_class, std::vector<float>* out) {
     std::lock_guard<std::mutex> lock(mu);
-    Slot& slot = front[SlotIndex(num_elements)];
-    if (slot.num_elements == num_elements && !slot.buffer.empty()) {
+    Slot& slot = front[SlotIndex(size_class)];
+    if (slot.size_class == size_class && !slot.buffer.empty()) {
       *out = std::move(slot.buffer);
-      slot.buffer.clear();
-      cached_bytes -= num_elements * sizeof(float);
-      return true;
+      slot.buffer = {};
+    } else {
+      auto it = buckets.find(size_class);
+      if (it == buckets.end() || it->second.empty()) return false;
+      *out = std::move(it->second.back());
+      it->second.pop_back();
     }
-    auto it = buckets.find(num_elements);
-    if (it == buckets.end() || it->second.empty()) return false;
-    *out = std::move(it->second.back());
-    it->second.pop_back();
-    cached_bytes -= num_elements * sizeof(float);
+    cached_bytes -= CapacityBytes(*out);
     return true;
   }
 
   bool TryPush(std::vector<float>&& buffer) {
-    size_t bytes = buffer.size() * sizeof(float);
+    const size_t bytes = CapacityBytes(buffer);
+    const size_t size_class = ClassFloor(buffer.capacity());
     std::lock_guard<std::mutex> lock(mu);
     if (cached_bytes + bytes > kThreadCacheMaxBytes) return false;
-    Slot& slot = front[SlotIndex(buffer.size())];
+    Slot& slot = front[SlotIndex(size_class)];
     if (slot.buffer.empty()) {
-      slot.num_elements = buffer.size();
+      slot.size_class = size_class;
       slot.buffer = std::move(buffer);
-    } else if (slot.num_elements == buffer.size()) {
+    } else if (slot.size_class == size_class) {
       // Keep the newest buffer in the slot (LIFO cache warmth); displace
       // the old occupant to its bucket.
-      buckets[slot.num_elements].push_back(std::move(slot.buffer));
+      buckets[slot.size_class].push_back(std::move(slot.buffer));
       slot.buffer = std::move(buffer);
     } else {
-      buckets[buffer.size()].push_back(std::move(buffer));
+      buckets[size_class].push_back(std::move(buffer));
     }
     cached_bytes += bytes;
     return true;
@@ -280,7 +305,7 @@ struct ThreadCache {
     int64_t buffers = 0;
     for (Slot& slot : front) {
       if (!slot.buffer.empty()) ++buffers;
-      slot.num_elements = 0;
+      slot.size_class = 0;
       std::vector<float>().swap(slot.buffer);
     }
     for (auto& [n, list] : buckets) {
@@ -300,8 +325,8 @@ struct ThreadCache {
       std::lock_guard<std::mutex> lock(mu);
       for (Slot& slot : front) {
         if (!slot.buffer.empty()) spilled.push_back(std::move(slot.buffer));
-        slot.buffer.clear();
-        slot.num_elements = 0;
+        slot.buffer = {};
+        slot.size_class = 0;
       }
       for (auto& [n, list] : buckets) {
         for (auto& buffer : list) spilled.push_back(std::move(buffer));
@@ -373,14 +398,17 @@ std::vector<float> AcquireBuffer(size_t num_elements, BufferFill fill) {
   NoteLiveDelta(bytes);
 
   std::vector<float> buffer;
+  const size_t size_class = ClassCeil(num_elements);
   const bool recycled = num_elements > 0 &&
-                        (cache.Pop(num_elements, &buffer) ||
-                         Global().Pop(num_elements, &buffer));
+                        (cache.Pop(size_class, &buffer) ||
+                         Global().Pop(size_class, &buffer));
   if (recycled) {
-    ASAN_UNPOISON_MEMORY_REGION(buffer.data(), bytes);
+    ASAN_UNPOISON_MEMORY_REGION(buffer.data(), CapacityBytes(buffer));
     Bump<uint64_t>(stats.hits, 1);
     Bump<int64_t>(stats.pooled_buffers, -1);
-    Bump(stats.pooled_bytes, -bytes);
+    Bump(stats.pooled_bytes, -static_cast<int64_t>(CapacityBytes(buffer)));
+    // Within the capacity: growing zero-fills only the new tail.
+    buffer.resize(num_elements);
     if (fill == BufferFill::kZero) {
       std::fill(buffer.begin(), buffer.end(), 0.0f);
     } else if (PoisonUninitEnabled()) {
@@ -390,6 +418,7 @@ std::vector<float> AcquireBuffer(size_t num_elements, BufferFill fill) {
     // stale and the caller overwrites every element.
   } else {
     Bump<uint64_t>(stats.misses, 1);
+    buffer.reserve(size_class);
     buffer.assign(num_elements, 0.0f);  // fresh storage is always zeroed
     if (fill == BufferFill::kUninit && PoisonUninitEnabled()) {
       PoisonBuffer(buffer);
@@ -403,14 +432,15 @@ void ReleaseBuffer(std::vector<float>&& buffer) {
   ThreadCache& cache = LocalCache();
   StatBlock& stats = *cache.stats;
   const int64_t bytes = static_cast<int64_t>(buffer.size() * sizeof(float));
+  const int64_t capacity_bytes = static_cast<int64_t>(CapacityBytes(buffer));
   Bump<uint64_t>(stats.releases, 1);
   Bump<int64_t>(stats.outstanding, -1);
   NoteLiveDelta(-bytes);
   // Under ASan a pooled buffer stays poisoned until it is popped again, so
   // a tensor read after release is reported like a use-after-free.
-  ASAN_POISON_MEMORY_REGION(buffer.data(), bytes);
+  ASAN_POISON_MEMORY_REGION(buffer.data(), capacity_bytes);
   Bump<int64_t>(stats.pooled_buffers, 1);
-  Bump(stats.pooled_bytes, bytes);
+  Bump(stats.pooled_bytes, capacity_bytes);
   std::vector<float> owned = std::move(buffer);
   buffer.clear();
   if (!cache.TryPush(std::move(owned))) {

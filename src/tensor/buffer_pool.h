@@ -9,8 +9,13 @@
 // redundant zero-fill a fresh std::vector<float>(n) forces).
 //
 // Design notes:
-//  - Buckets are keyed by exact element count. Successive steps request the
-//    same sizes, so steady-state hit rates approach 100% after step one.
+//  - Buckets are size classes, four per octave: a buffer's capacity is its
+//    class and its size is what was asked for. Successive steps request the
+//    same sizes, so steady-state hit rates approach 100% after step one, and
+//    sizes that drift by a few rows from call to call (the global encoder's
+//    compact query subgraphs) share a bucket instead of stranding one
+//    buffer per size. A class wastes at most 25% of a buffer's capacity;
+//    pooled bytes and the caps below count capacity.
 //  - Two tiers: a thread-local cache (bounded bytes, spills to the global
 //    tier; its lock is uncontended except during TrimBufferPool) in front of
 //    a mutex-protected global map. Worker threads recycle their kernel
@@ -30,10 +35,10 @@
 //    giving up their storage (TensorNode destruction, PooledBuffer scope
 //    exit, Backward's grad recycling).
 //  - The global tier is byte-capped (LOGCL_POOL_MAX_MB, default 1024).
-//    Workloads whose allocation sizes drift — streaming ingest grows
-//    history-dependent tensor shapes every snapshot — would otherwise strand
-//    every superseded size in a bucket nothing ever pops again, growing the
-//    process without bound. Exceeding the cap drops all pooled buffers; the
+//    Workloads whose allocation sizes drift across classes — streaming
+//    ingest grows history-dependent tensor shapes every snapshot — would
+//    otherwise strand every superseded class in a bucket nothing ever pops
+//    again, growing the process without bound. Exceeding the cap drops all pooled buffers; the
 //    live working set re-pools within an iteration. The cap is the
 //    backstop: StreamSession::IngestSnapshot calls TrimBufferPool after
 //    every ingest. That empties the pool on every thread, serving workers
@@ -75,7 +80,8 @@ int64_t BufferPoolCapBytes();
 void SetBufferPoolCapBytes(int64_t cap_bytes);
 
 /// Returns a buffer with exactly `num_elements` elements, recycled when the
-/// pool holds one of that size. See BufferFill for the contents contract.
+/// pool holds one of that size class. See BufferFill for the contents
+/// contract.
 std::vector<float> AcquireBuffer(size_t num_elements, BufferFill fill);
 
 /// Returns storage to the pool. The argument is left empty. Empty buffers are a no-op.

@@ -1562,40 +1562,95 @@ Tensor LeakyRelu(const Tensor& x, float slope) {
   return ElementwiseUnary(x, ewise::UnaryKind::kLeakyRelu, slope);
 }
 
-Tensor RRelu(const Tensor& x, bool training, Rng* rng) {
+namespace {
+
+// The stream positions a stochastic op draws (see TableRows). Element
+// (r, c) of the op's [rows, cols] view draws position RowStart(r) + c, and
+// the stream then advances by `length`, as a serial sweep over the table
+// would. Without table ids the view has one element per row, so element i
+// draws position i. The ids are copied: backward outlives the caller's
+// vector.
+struct DrawLayout {
+  std::vector<int64_t> ids;
+  int64_t rows = 0;
+  int64_t cols = 1;
+  int64_t grain = kGrain;
+  uint64_t length = 0;
+
+  uint64_t RowStart(int64_t r) const {
+    int64_t row = ids.empty() ? r : ids[static_cast<size_t>(r)];
+    return static_cast<uint64_t>(row * cols);
+  }
+};
+
+DrawLayout MakeDrawLayout(const Tensor& x, TableRows table) {
+  DrawLayout layout;
+  if (table.ids == nullptr) {
+    layout.rows = x.num_elements();
+    layout.length = static_cast<uint64_t>(layout.rows);
+    return layout;
+  }
+  LOGCL_CHECK_EQ(x.shape().rank(), 2);
+  layout.ids = *table.ids;
+  layout.rows = x.shape().rows();
+  layout.cols = x.shape().cols();
+  layout.grain = RowGrain(layout.cols);
+  LOGCL_CHECK_EQ(static_cast<int64_t>(layout.ids.size()), layout.rows);
+  for (int64_t r = 0; r < layout.rows; ++r) {
+    int64_t row = layout.ids[static_cast<size_t>(r)];
+    LOGCL_CHECK_GE(row, 0);
+    LOGCL_CHECK_LT(row, table.table_rows);
+  }
+  layout.length = static_cast<uint64_t>(table.table_rows * layout.cols);
+  return layout;
+}
+
+// Calls fn(i, position) for every element i of the view, sharded by rows.
+template <typename Fn>
+void ForEachDraw(const DrawLayout& layout, Fn fn) {
+  ParallelFor(0, layout.rows, layout.grain, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      uint64_t start = layout.RowStart(r);
+      for (int64_t c = 0; c < layout.cols; ++c) {
+        fn(r * layout.cols + c, start + static_cast<uint64_t>(c));
+      }
+    }
+  });
+}
+
+}  // namespace
+
+Tensor RRelu(const Tensor& x, bool training, Rng* rng, TableRows rows) {
   if (!training) return LeakyRelu(x, kRReluEvalSlope);
   LOGCL_CHECK(rng != nullptr);
   int64_t n = x.num_elements();
   const float* xd = x.data().data();
   std::vector<float> out = UninitOut(n);
   float* od = out.data();
-  // Counter-based draws: element i's slope is draw i of the stream
-  // (Rng::UniformAt), whichever shard computes it, so outputs are the same
-  // at any thread count. The stream then advances past exactly n draws, as
-  // a serial sweep would, and backward recomputes the slopes from `draws`.
+  // Counter-based draws: an element's slope is its position's draw of the
+  // stream (Rng::UniformAt), whichever shard computes it, so outputs are the
+  // same at any thread count. The stream then advances as a serial sweep
+  // would, and backward recomputes the slopes from `draws`.
   const Rng draws = *rng;
-  rng->Skip(static_cast<uint64_t>(n));
-  auto slope = [](const Rng& r, int64_t i) {
-    return static_cast<float>(
-        r.UniformAt(static_cast<uint64_t>(i), kRReluLower, kRReluUpper));
+  DrawLayout layout = MakeDrawLayout(x, rows);
+  rng->Skip(layout.length);
+  auto slope = [](const Rng& r, uint64_t position) {
+    return static_cast<float>(r.UniformAt(position, kRReluLower, kRReluUpper));
   };
-  ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      od[i] = xd[i] > 0.0f ? xd[i] : slope(draws, i) * xd[i];
-    }
+  ForEachDraw(layout, [&](int64_t i, uint64_t position) {
+    od[i] = xd[i] > 0.0f ? xd[i] : slope(draws, position) * xd[i];
   });
   return Tensor::MakeOpOutput(
-      x.shape(), std::move(out), {x}, [n, draws, slope](Node& node) {
+      x.shape(), std::move(out), {x},
+      [layout = std::move(layout), draws, slope](Node& node) {
         const auto& px = node.parents[0];
         if (!px->requires_grad) return;
         px->EnsureGrad();
         const float* g = node.grad.data();
         const float* xd = px->data.data();
         float* gx = px->grad.data();
-        ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) {
-            gx[i] += g[i] * (xd[i] > 0.0f ? 1.0f : slope(draws, i));
-          }
+        ForEachDraw(layout, [&](int64_t i, uint64_t position) {
+          gx[i] += g[i] * (xd[i] > 0.0f ? 1.0f : slope(draws, position));
         });
       });
 }
@@ -1612,7 +1667,8 @@ Tensor Log(const Tensor& x, float eps) {
   return ElementwiseUnary(x, ewise::UnaryKind::kLog, eps);
 }
 
-Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
+Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng,
+               TableRows rows) {
   LOGCL_CHECK(x.defined());
   LOGCL_CHECK_GE(p, 0.0f);
   LOGCL_CHECK_LT(p, 1.0f);
@@ -1624,25 +1680,27 @@ Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
   std::vector<float> out = UninitOut(n);
   float* od = out.data();
   // Counter-based mask draws (Rng::BernoulliAt; see RRelu): thread-count
-  // invariant, the stream advances by exactly n, and backward recomputes
-  // the mask from `draws`.
+  // invariant, the stream advances as a serial sweep would, and backward
+  // recomputes the mask from `draws`.
   const Rng draws = *rng;
-  rng->Skip(static_cast<uint64_t>(n));
-  auto mask = [p, scale](const Rng& r, int64_t i) {
-    return r.BernoulliAt(static_cast<uint64_t>(i), p) ? 0.0f : scale;
+  DrawLayout layout = MakeDrawLayout(x, rows);
+  rng->Skip(layout.length);
+  auto mask = [p, scale](const Rng& r, uint64_t position) {
+    return r.BernoulliAt(position, p) ? 0.0f : scale;
   };
-  ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) od[i] = xd[i] * mask(draws, i);
+  ForEachDraw(layout, [&](int64_t i, uint64_t position) {
+    od[i] = xd[i] * mask(draws, position);
   });
   return Tensor::MakeOpOutput(
-      x.shape(), std::move(out), {x}, [n, draws, mask](Node& node) {
+      x.shape(), std::move(out), {x},
+      [layout = std::move(layout), draws, mask](Node& node) {
         const auto& px = node.parents[0];
         if (!px->requires_grad) return;
         px->EnsureGrad();
         const float* g = node.grad.data();
         float* gx = px->grad.data();
-        ParallelFor(0, n, kGrain, [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) gx[i] += g[i] * mask(draws, i);
+        ForEachDraw(layout, [&](int64_t i, uint64_t position) {
+          gx[i] += g[i] * mask(draws, position);
         });
       });
 }

@@ -125,15 +125,26 @@ Tensor Sigmoid(const Tensor& x);
 Tensor Tanh(const Tensor& x);
 Tensor Relu(const Tensor& x);
 Tensor LeakyRelu(const Tensor& x, float slope);
+/// Where a compact tensor's rows sit in a larger table: row i of the tensor
+/// is row ids[i] of a [table_rows, cols] table (ids ascending). RRelu and
+/// Dropout then draw element (i, c) as table element (ids[i], c) and move
+/// the stream past the whole table, so every row they return equals the
+/// same row of the call on the full table. Null `ids`: x is the table.
+struct TableRows {
+  const std::vector<int64_t>* ids = nullptr;
+  int64_t table_rows = 0;
+};
+
 /// Randomised leaky ReLU (Eq.4's sigma_1). Training samples slopes uniformly
 /// in [1/8, 1/3] (torch defaults); eval uses the fixed mean slope.
-Tensor RRelu(const Tensor& x, bool training, Rng* rng);
+Tensor RRelu(const Tensor& x, bool training, Rng* rng, TableRows rows = {});
 Tensor Cos(const Tensor& x);
 Tensor Exp(const Tensor& x);
 /// Natural log; inputs are clamped to >= eps for stability.
 Tensor Log(const Tensor& x, float eps = 1e-12f);
-/// Inverted dropout; identity when !training or p == 0.
-Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng);
+/// Inverted dropout; identity when !training or p == 0. `rows` as in RRelu.
+Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng,
+               TableRows rows = {});
 /// Divides each row by max(||row||_2, eps).
 Tensor RowL2Normalize(const Tensor& x, float eps = 1e-8f);
 

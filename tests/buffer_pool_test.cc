@@ -72,6 +72,37 @@ TEST(BufferPoolTest, SameSizeRequestReturnsSameStorage) {
   ReleaseBuffer(std::move(zeroed));
 }
 
+// Buckets are size classes (four per octave), so a request a few elements
+// away from a released buffer's size reuses its storage: shapes that drift
+// from call to call (compact query subgraphs) stop stranding buffers.
+TEST(BufferPoolTest, NearbySizesShareASizeClass) {
+  PoisonModeGuard poison(false);  // asserts stale contents survive kUninit
+  TrimBufferPool();
+  std::vector<float> buffer = AcquireBuffer(1000, BufferFill::kUninit);
+  const float* storage = buffer.data();
+  EXPECT_EQ(buffer.size(), 1000u);
+  EXPECT_GE(buffer.capacity(), 1010u);
+  buffer[0] = 42.0f;
+  ReleaseBuffer(std::move(buffer));
+  BufferPoolStats before = PoolSnapshot();
+  std::vector<float> larger = AcquireBuffer(1010, BufferFill::kUninit);
+  EXPECT_EQ(larger.data(), storage);
+  EXPECT_EQ(larger.size(), 1010u);
+  EXPECT_EQ(larger[0], 42.0f);
+  for (size_t i = 1000; i < 1010; ++i) EXPECT_EQ(larger[i], 0.0f);
+  EXPECT_EQ(PoolSnapshot().hits - before.hits, 1u);
+  ReleaseBuffer(std::move(larger));
+  std::vector<float> zeroed = AcquireBuffer(900, BufferFill::kZero);
+  EXPECT_EQ(zeroed.data(), storage);
+  EXPECT_EQ(zeroed.size(), 900u);
+  for (float v : zeroed) ASSERT_EQ(v, 0.0f);
+  ReleaseBuffer(std::move(zeroed));
+  // A size two classes away gets its own storage.
+  std::vector<float> far = AcquireBuffer(1500, BufferFill::kUninit);
+  EXPECT_NE(far.data(), storage);
+  ReleaseBuffer(std::move(far));
+}
+
 TEST(BufferPoolTest, TensorStorageIsRecycledAcrossNodeLifetimes) {
   TrimBufferPool();
   const Shape shape{37, 11};
@@ -151,7 +182,7 @@ TEST(BufferPoolThreadsTest, BufferReleasedOnOneThreadIsReusedOnAnother) {
 TEST(BufferPoolThreadsTest, SpilledCacheIsReusedWhileItsThreadLives) {
   PoisonModeGuard poison(false);  // asserts stale contents survive kUninit
   TrimBufferPool();
-  constexpr size_t kSize = 7779;
+  constexpr size_t kSize = 7168;  // a size class: pooled bytes == requested
   std::atomic<int> stage{0};
   std::thread producer([&] {
     std::vector<float> buffer = AcquireBuffer(kSize, BufferFill::kZero);

@@ -205,16 +205,20 @@ TEST(GlobalEncoderTest, SubgraphOnlyUsesHistory) {
   std::vector<Quadruple> queries;
   for (const Quadruple& q : data.FactsAt(12)) queries.push_back(q);
   ASSERT_FALSE(queries.empty());
-  SnapshotGraph graph =
+  QuerySubgraph sub =
       encoder.BuildQuerySubgraph(history, queries, data.num_entities());
+  const SnapshotGraph& graph = sub.graph;
   EXPECT_GT(graph.num_edges(), 0);
-  // Every sampled edge must exist somewhere in history before t=12.
+  // Every sampled edge, mapped back to entity ids, must exist somewhere in
+  // history before t=12.
   for (int64_t e = 0; e < graph.num_edges(); ++e) {
+    size_t i = static_cast<size_t>(e);
+    int64_t s = sub.node_ids[static_cast<size_t>(graph.src[i])];
+    int64_t o = sub.node_ids[static_cast<size_t>(graph.dst[i])];
+    EXPECT_EQ(sub.entity_src[i], s);
     bool found = false;
-    for (const HistoryEdge& edge :
-         history.FactsTouchingBefore(graph.src[static_cast<size_t>(e)], 12)) {
-      if (edge.relation == graph.rel[static_cast<size_t>(e)] &&
-          edge.neighbor == graph.dst[static_cast<size_t>(e)]) {
+    for (const HistoryEdge& edge : history.FactsTouchingBefore(s, 12)) {
+      if (edge.relation == graph.rel[i] && edge.neighbor == o) {
         found = true;
         break;
       }
@@ -232,10 +236,10 @@ TEST(GlobalEncoderTest, FanOutCapBoundsEdges) {
   capped.max_answers_per_query = 1;
   GlobalEncoder encoder(8, capped, &rng);
   std::vector<Quadruple> queries = {{0, 0, 1, 25}};
-  SnapshotGraph graph =
+  QuerySubgraph sub =
       encoder.BuildQuerySubgraph(history, queries, data.num_entities());
   // <= (1 subject + 1 answer) anchors x 2 edges.
-  EXPECT_LE(graph.num_edges(), 4);
+  EXPECT_LE(sub.graph.num_edges(), 4);
 }
 
 TEST(GlobalEncoderTest, QueryGateShrinksNorm) {
@@ -249,13 +253,11 @@ TEST(GlobalEncoderTest, QueryGateShrinksNorm) {
   Tensor r0 = Tensor::XavierUniform(
       Shape{data.num_relations_with_inverse(), 8}, &rng);
   std::vector<Quadruple> queries = {{0, 0, 1, 20}, {2, 1, 3, 20}};
-  SnapshotGraph graph =
+  QuerySubgraph sub =
       encoder.BuildQuerySubgraph(history, queries, data.num_entities());
-  Tensor encoded = encoder.Encode(graph, h0, r0, false, nullptr);
-  Tensor gated =
-      encoder.QueryRepresentations(encoded, h0, queries, history, true);
-  Tensor raw =
-      encoder.QueryRepresentations(encoded, h0, queries, history, false);
+  Tensor encoded = encoder.Encode(sub, h0, r0, false, nullptr);
+  Tensor gated = encoder.QueryRepresentations(sub, encoded, h0, queries, true);
+  Tensor raw = encoder.QueryRepresentations(sub, encoded, h0, queries, false);
   for (int64_t i = 0; i < 2; ++i) {
     double gated_sq = 0, raw_sq = 0;
     for (int64_t j = 0; j < 8; ++j) {

@@ -1,8 +1,9 @@
 // Tests for the fused CSR message-passing path: EdgeCsr layout correctness,
 // bitwise parity of the CSR/fused ops and of every graph layer against a
 // composed reference chain kept here as the oracle (forward and backward, at
-// 1 and 4 threads), gradchecks of the fused backwards, and cross-epoch
-// structure-cache identity.
+// 1 and 4 threads), gradchecks of the fused backwards, the compact query
+// subgraph's layout, and bitwise parity of the compact global encoder
+// against a full-entity encoder kept here as the oracle.
 
 #include <algorithm>
 #include <cstdint>
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/observability.h"
 #include "common/parallel.h"
 #include "core/global_encoder.h"
 #include "graph/rel_graph_encoder.h"
@@ -379,14 +381,17 @@ TEST(QuerySubgraphTest, RepeatedBuildsAreIdentical) {
   for (const Quadruple& q : d.FactsAt(9)) queries.push_back(q);
   ASSERT_FALSE(queries.empty());
 
-  SnapshotGraph first =
+  QuerySubgraph first =
       encoder.BuildQuerySubgraph(history, queries, d.num_entities());
-  SnapshotGraph second =
+  QuerySubgraph second =
       encoder.BuildQuerySubgraph(history, queries, d.num_entities());
-  ASSERT_GT(first.num_edges(), 0);
-  EXPECT_EQ(first.src, second.src);
-  EXPECT_EQ(first.rel, second.rel);
-  EXPECT_EQ(first.dst, second.dst);
+  ASSERT_GT(first.graph.num_edges(), 0);
+  EXPECT_EQ(first.node_ids, second.node_ids);
+  EXPECT_EQ(first.graph.src, second.graph.src);
+  EXPECT_EQ(first.graph.rel, second.graph.rel);
+  EXPECT_EQ(first.graph.dst, second.graph.dst);
+  EXPECT_EQ(first.subject_pos, second.subject_pos);
+  EXPECT_EQ(first.answer_pos, second.answer_pos);
 }
 
 TEST(QuerySubgraphTest, EdgesAreDeduplicatedAndSorted) {
@@ -402,18 +407,263 @@ TEST(QuerySubgraphTest, EdgesAreDeduplicatedAndSorted) {
   std::vector<Quadruple> queries;
   for (const Quadruple& q : d.FactsAt(10)) queries.push_back(q);
   ASSERT_FALSE(queries.empty());
-  SnapshotGraph g =
+  QuerySubgraph sub =
       encoder.BuildQuerySubgraph(history, queries, d.num_entities());
+  const SnapshotGraph& g = sub.graph;
   ASSERT_GT(g.num_edges(), 0);
+  // Sorted by entity-space (s, r, o), mapped back through node_ids.
   for (int64_t e = 1; e < g.num_edges(); ++e) {
     auto key = [&](int64_t i) {
-      return std::tuple(g.src[static_cast<size_t>(i)],
-                        g.rel[static_cast<size_t>(i)],
-                        g.dst[static_cast<size_t>(i)]);
+      size_t k = static_cast<size_t>(i);
+      return std::tuple(sub.node_ids[static_cast<size_t>(g.src[k])], g.rel[k],
+                        sub.node_ids[static_cast<size_t>(g.dst[k])]);
     };
     EXPECT_LT(key(e - 1), key(e)) << "edges must be strictly ascending";
   }
 }
+
+// Each build records its compact size, so the subgraph a workload encodes
+// can be read from the metrics export.
+TEST(QuerySubgraphTest, BuildRecordsSizeHistograms) {
+  SynthConfig config;
+  config.seed = 87;
+  config.num_entities = 30;
+  config.num_relations = 3;
+  config.num_timestamps = 12;
+  TkgDataset d = GenerateSyntheticTkg(config);
+  HistoryIndex history(d);
+  Rng rng(88);
+  GlobalEncoder encoder(8, {}, &rng);
+  auto snapshot = [](const char* name) {
+    return Metrics().Snapshot().HistogramValue(name);
+  };
+  HistogramSnapshot nodes_before = snapshot("logcl.global.subgraph_nodes");
+  HistogramSnapshot edges_before = snapshot("logcl.global.subgraph_edges");
+  QuerySubgraph sub =
+      encoder.BuildQuerySubgraph(history, d.FactsAt(10), d.num_entities());
+  HistogramSnapshot nodes = snapshot("logcl.global.subgraph_nodes");
+  HistogramSnapshot edges = snapshot("logcl.global.subgraph_edges");
+  EXPECT_EQ(nodes.count, nodes_before.count + 1);
+  EXPECT_EQ(nodes.sum,
+            nodes_before.sum + static_cast<uint64_t>(sub.graph.num_nodes));
+  EXPECT_EQ(edges.count, edges_before.count + 1);
+  EXPECT_EQ(edges.sum,
+            edges_before.sum + static_cast<uint64_t>(sub.graph.num_edges()));
+}
+
+// The node map is strictly ascending and covers exactly the edge endpoints,
+// the query subjects and their kept historical answers; subject and answer
+// positions point back at the right entities.
+TEST(QuerySubgraphTest, NodeMapIsAscendingAndComplete) {
+  SynthConfig config;
+  config.seed = 83;
+  config.num_entities = 60;
+  config.num_relations = 3;
+  config.num_timestamps = 12;
+  TkgDataset d = GenerateSyntheticTkg(config);
+  HistoryIndex history(d);
+  ASSERT_GE(d.FactsAt(10).size(), 3u);
+  Rng rng(84);
+  GlobalEncoderOptions options;
+  options.max_edges_per_anchor = 2;
+  options.max_answers_per_query = 2;
+  GlobalEncoder encoder(8, options, &rng);
+  std::vector<Quadruple> queries(d.FactsAt(10).begin(),
+                                 d.FactsAt(10).begin() + 3);
+  QuerySubgraph sub =
+      encoder.BuildQuerySubgraph(history, queries, d.num_entities());
+  ASSERT_FALSE(sub.node_ids.empty());
+  EXPECT_EQ(sub.graph.num_nodes, static_cast<int64_t>(sub.node_ids.size()));
+  EXPECT_LT(sub.graph.num_nodes, d.num_entities());
+  for (size_t i = 1; i < sub.node_ids.size(); ++i) {
+    EXPECT_LT(sub.node_ids[i - 1], sub.node_ids[i]);
+  }
+  std::vector<int64_t> expected;
+  for (int64_t e = 0; e < sub.graph.num_edges(); ++e) {
+    size_t k = static_cast<size_t>(e);
+    expected.push_back(sub.entity_src[k]);
+    expected.push_back(sub.node_ids[static_cast<size_t>(sub.graph.dst[k])]);
+  }
+  ASSERT_EQ(sub.subject_pos.size(), queries.size());
+  std::vector<int64_t> answers;
+  for (const Quadruple& q : queries) {
+    expected.push_back(q.subject);
+    std::vector<int64_t> objects =
+        history.ObjectsBefore(q.subject, q.relation, q.time);
+    if (static_cast<int64_t>(objects.size()) > options.max_answers_per_query) {
+      objects.resize(static_cast<size_t>(options.max_answers_per_query));
+    }
+    answers.insert(answers.end(), objects.begin(), objects.end());
+  }
+  expected.insert(expected.end(), answers.begin(), answers.end());
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+  EXPECT_EQ(sub.node_ids, expected);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(sub.node_ids[static_cast<size_t>(sub.subject_pos[i])],
+              queries[i].subject);
+  }
+  ASSERT_EQ(sub.answer_pos.size(), answers.size());
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(sub.node_ids[static_cast<size_t>(sub.answer_pos[i])],
+              answers[i]);
+  }
+
+  QuerySubgraph every = encoder.BuildQuerySubgraph(
+      history, queries, d.num_entities(), /*every_entity=*/true);
+  ASSERT_EQ(every.graph.num_nodes, d.num_entities());
+  for (int64_t e = 0; e < d.num_entities(); ++e) {
+    EXPECT_EQ(every.node_ids[static_cast<size_t>(e)], e);
+  }
+  EXPECT_EQ(every.graph.rel, sub.graph.rel);
+  EXPECT_EQ(every.entity_src, sub.entity_src);
+}
+
+// --- Compact global encoder vs full-entity oracle ---------------------------
+
+// What one encoder run leaves behind: the encoded rows of the subgraph's
+// nodes (in node order) and the gradients of the entity table, the
+// relations and every aggregator weight.
+struct EncoderRun {
+  std::vector<float> rows;
+  std::vector<float> entity_grads;
+  std::vector<float> relation_grads;
+  std::vector<std::vector<float>> weight_grads;
+  uint64_t next_draw = 0;  // where the RNG stream stands afterwards
+};
+
+constexpr int64_t kParityDim = 6;  // not a multiple of any tile width
+constexpr uint32_t kParitySeed = 91;
+
+// Runs the compact GlobalEncoder (`oracle` false) or a RelGraphEncoder
+// seeded like its aggregator over the subgraph's entity-space edges, on the
+// whole entity table (`oracle` true). The entity table has a consumer
+// created before the encoder and one created after it, as in the model
+// (the local encoder, and the query gate's subject gather), so the order in
+// which its gradient accumulates is exercised. The loss reads every node
+// row through a fixed mask.
+EncoderRun RunGlobalEncoder(GcnKind kind, bool training, bool oracle,
+                            const QuerySubgraph& sub,
+                            const std::vector<Quadruple>& queries,
+                            int64_t num_relations) {
+  GlobalEncoderOptions options;
+  options.gcn_kind = kind;
+  Rng init(kParitySeed);
+  GlobalEncoder encoder(kParityDim, options, &init);
+  Rng oracle_init(kParitySeed);
+  RelGraphEncoder full(kind, options.num_layers, kParityDim, options.dropout,
+                       &oracle_init);
+
+  Tensor h0 = RandomTensor(Shape{sub.num_entities, kParityDim},
+                           kParitySeed + 1, true);
+  Tensor r0 = RandomTensor(Shape{num_relations, kParityDim}, kParitySeed + 2,
+                           true);
+  Tensor earlier =
+      ops::SumAll(ops::Mul(h0, RandomTensor(h0.shape(), kParitySeed + 3)));
+  Rng draws(kParitySeed + 4);
+  Tensor rows;
+  if (oracle) {
+    SnapshotGraph graph;
+    graph.num_nodes = sub.num_entities;
+    for (int64_t e = 0; e < sub.graph.num_edges(); ++e) {
+      size_t k = static_cast<size_t>(e);
+      graph.AddEdge(sub.entity_src[k], sub.graph.rel[k],
+                    sub.node_ids[static_cast<size_t>(sub.graph.dst[k])]);
+    }
+    Tensor encoded = full.Forward(graph, h0, r0, training, &draws);
+    rows = ops::IndexSelectRows(encoded, sub.node_ids);
+  } else {
+    rows = encoder.Encode(sub, h0, r0, training, &draws);
+  }
+  std::vector<int64_t> subjects;
+  for (const Quadruple& q : queries) subjects.push_back(q.subject);
+  Tensor later = ops::IndexSelectRows(h0, subjects);
+  Tensor loss = ops::Add(
+      ops::Add(ops::SumAll(ops::Mul(
+                   rows, RandomTensor(rows.shape(), kParitySeed + 5))),
+               ops::SumAll(ops::Mul(
+                   later, RandomTensor(later.shape(), kParitySeed + 6)))),
+      earlier);
+  Backward(loss);
+
+  EncoderRun run;
+  run.rows = rows.data();
+  run.entity_grads = h0.grad();
+  run.relation_grads = r0.grad();
+  std::vector<Tensor> weights =
+      oracle ? full.Parameters() : encoder.Parameters();
+  // The aggregator is GlobalEncoder's first child: its weights come first.
+  for (size_t i = 0; i < full.Parameters().size(); ++i) {
+    run.weight_grads.push_back(weights[i].grad());
+  }
+  run.next_draw = draws.Next();
+  return run;
+}
+
+void ExpectCompactMatchesOracle(GcnKind kind, bool every_entity) {
+  SynthConfig config;
+  config.seed = 85;
+  config.num_entities = 60;
+  config.num_relations = 4;
+  config.num_timestamps = 12;
+  TkgDataset d = GenerateSyntheticTkg(config);
+  HistoryIndex history(d);
+  ASSERT_GE(d.FactsAt(10).size(), 4u);
+  std::vector<Quadruple> queries(d.FactsAt(10).begin(),
+                                 d.FactsAt(10).begin() + 4);
+  Rng rng(86);
+  GlobalEncoder builder(kParityDim, {}, &rng);
+  QuerySubgraph sub = builder.BuildQuerySubgraph(
+      history, queries, d.num_entities(), every_entity);
+  ASSERT_GT(sub.graph.num_edges(), 0);
+  if (!every_entity) ASSERT_LT(sub.graph.num_nodes, d.num_entities());
+  for (int num_threads : {1, 4}) {
+    for (bool training : {false, true}) {
+      ThreadCountGuard guard;
+      SetNumThreads(num_threads);
+      SCOPED_TRACE(testing::Message() << num_threads << " threads, training="
+                                      << training);
+      EncoderRun compact = RunGlobalEncoder(
+          kind, training, /*oracle=*/false, sub, queries,
+          d.num_relations_with_inverse());
+      EncoderRun oracle = RunGlobalEncoder(
+          kind, training, /*oracle=*/true, sub, queries,
+          d.num_relations_with_inverse());
+      EXPECT_EQ(compact.rows, oracle.rows);
+      EXPECT_EQ(compact.entity_grads, oracle.entity_grads);
+      EXPECT_EQ(compact.relation_grads, oracle.relation_grads);
+      ASSERT_EQ(compact.weight_grads.size(), oracle.weight_grads.size());
+      for (size_t i = 0; i < compact.weight_grads.size(); ++i) {
+        EXPECT_EQ(compact.weight_grads[i], oracle.weight_grads[i])
+            << "weight " << i;
+      }
+      EXPECT_EQ(compact.next_draw, oracle.next_draw);
+    }
+  }
+}
+
+class CompactGlobalEncoderParityTest
+    : public ::testing::TestWithParam<GcnKind> {};
+
+TEST_P(CompactGlobalEncoderParityTest, BitwiseEqualToFullEntityEncoder) {
+  ExpectCompactMatchesOracle(GetParam(), /*every_entity=*/false);
+}
+
+// LogCL-G scores candidates against the encoded matrix, so its node set is
+// the whole entity table; the compact path then reproduces the full-entity
+// encoder on every row.
+TEST_P(CompactGlobalEncoderParityTest, EveryEntityNodeSetMatchesOracle) {
+  ExpectCompactMatchesOracle(GetParam(), /*every_entity=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, CompactGlobalEncoderParityTest,
+    ::testing::Values(GcnKind::kRgcn, GcnKind::kCompGcnSub,
+                      GcnKind::kCompGcnMult, GcnKind::kKbgat),
+    [](const ::testing::TestParamInfo<GcnKind>& info) {
+      return GcnKindToString(info.param);
+    });
 
 }  // namespace
 }  // namespace logcl

@@ -292,6 +292,31 @@ TEST(ServeEngineTest, SingleQueryBatchesMatchScoreQueries) {
   EXPECT_EQ(stats.max_batch, 1u);
 }
 
+// A non-positive k is a caller bug: TryTopK answers it with
+// kInvalidArgument before submitting instead of aborting the process, and
+// Submit rejects a negative k (k == 0 asks for the full row).
+TEST(ServeEngineTest, NonPositiveTopKIsInvalidArgument) {
+  TkgDataset data = ServeData();
+  LogClModel model(&data, ServeConfig());
+  InferenceEngine engine(&model, 25);
+  ServeQuery query{5, 3};
+  for (int64_t k : {0, -1}) {
+    Result<std::vector<std::pair<int64_t, float>>> top =
+        engine.TryTopK(query, k);
+    ASSERT_FALSE(top.ok()) << "k=" << k;
+    EXPECT_EQ(top.status().code(), StatusCode::kInvalidArgument);
+  }
+  Result<std::future<InferenceEngine::EngineResponse>> negative =
+      engine.Submit(query, -1);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Snapshot().requests, 0u);
+  // The engine still serves afterwards.
+  Result<std::vector<std::pair<int64_t, float>>> one = engine.TryTopK(query, 1);
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one.value().size(), 1u);
+}
+
 TEST(ServeEngineTest, TopKMatchesScoreRow) {
   TkgDataset data = ServeData();
   LogClModel model(&data, ServeConfig());

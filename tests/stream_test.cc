@@ -129,15 +129,17 @@ TEST(StreamPoolCapTest, GlobalTierStaysBoundedUnderSizeDrift) {
   SetBufferPoolCapBytes(cap);
   const uint64_t base = PoolSnapshot().pooled_bytes;
 
-  // Each buffer is ~40 MiB — over the thread-cache budget, so every release
-  // spills straight to the capped global tier — and every size is new.
-  const size_t kBase = (size_t{40} << 20) / sizeof(float);
+  // Each buffer is 40-96 MiB — over the thread-cache budget, so every
+  // release spills straight to the capped global tier — and every size is
+  // in a new size class (sizes within one class share a bucket).
+  const size_t kMiB = (size_t{1} << 20) / sizeof(float);
+  const size_t kBase = 40 * kMiB;
   bool saw_trim = false;
   uint64_t prev = base;
-  for (size_t i = 0; i < 10; ++i) {
-    ReleaseBuffer(AcquireBuffer(kBase + i * 1024, BufferFill::kUninit));
+  for (size_t mib : {40, 48, 56, 64, 80, 96}) {
+    ReleaseBuffer(AcquireBuffer(mib * kMiB - 1000, BufferFill::kUninit));
     uint64_t pooled = PoolSnapshot().pooled_bytes;
-    EXPECT_LE(pooled - base, static_cast<uint64_t>(cap)) << "iteration " << i;
+    EXPECT_LE(pooled - base, static_cast<uint64_t>(cap)) << mib << " MiB";
     if (pooled < prev) saw_trim = true;
     prev = pooled;
   }
@@ -430,6 +432,24 @@ TEST(StreamSessionTest, IngestLeavesNothingPooled) {
       EXPECT_EQ(PoolSnapshot().pooled_bytes, 0u) << "ingest " << ingest;
     }
   }
+}
+
+// StreamSession::TopK(q, 0) returns kInvalidArgument, as the router's
+// PredictTopK returns normally, instead of aborting the process.
+TEST(StreamSessionTest, TopKZeroIsInvalidArgument) {
+  StreamConfig stream = SmallStreamConfig();
+  StreamGenerator gen(stream);
+  TkgDataset dataset = gen.WarmupDataset();
+  LogClModel model(&dataset, SmallModelConfig());
+  StreamSession session(&model, stream.warmup_timestamps);
+  ServeQuery query{0, 0};
+  Result<std::vector<std::pair<int64_t, float>>> zero = session.TopK(query, 0);
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
+  Result<std::vector<std::pair<int64_t, float>>> three =
+      session.TopK(query, 3);
+  ASSERT_TRUE(three.ok());
+  EXPECT_EQ(three.value().size(), 3u);
 }
 
 TEST(StreamSessionTest, MmapWritebackPersistsFineTunedRows) {
