@@ -185,9 +185,9 @@ BENCHMARK(BM_ElementwiseSame)
 // this isolates the scoring half that quantization accelerates). One
 // iteration scores one decoded query row against E candidate rows:
 // precision 0 = fp32 (the MatMulAccumNT the fused path lowers to),
-// 1 = bf16, 2 = int8 (serve/quant.h bundles).
+// 1 = int8 (serve/quant.h).
 void BM_QuantScore(benchmark::State& state) {
-  int64_t precision = state.range(0);
+  const bool int8 = state.range(0) != 0;
   SimdModeGuard simd_guard(state.range(1) != 0);
   constexpr int64_t kEntities = 4096;
   constexpr int64_t kDim = 32;
@@ -195,36 +195,31 @@ void BM_QuantScore(benchmark::State& state) {
   Tensor entities =
       Tensor::RandomNormal(Shape{kEntities, kDim}, 1.0f, &rng);
   Tensor query = Tensor::RandomNormal(Shape{1, kDim}, 1.0f, &rng);
-  QuantizedCandidates bundle = BuildQuantizedCandidates(
-      entities, precision == 1 ? ScorePrecision::kBf16
-                               : ScorePrecision::kInt8);
+  Int8Matrix candidates =
+      QuantizeInt8PerRow(entities.data().data(), kEntities, kDim);
   std::vector<float> out(static_cast<size_t>(kEntities));
-  const char* names[] = {"fp32", "bf16", "int8"};
+  const std::string name = int8 ? "int8" : "fp32";
   uint64_t start_ns = MonotonicNowNs();
   for (auto _ : state) {
-    if (precision == 0) {
+    if (int8) {
+      ScoreQuantizedRow(candidates, query.data().data(), kDim, out.data());
+    } else {
       std::fill(out.begin(), out.end(), 0.0f);
       simd::MatMulAccumNT(query.data().data(), entities.data().data(),
                           out.data(), 1, kDim, kEntities);
-    } else {
-      ScoreQuantizedRow(bundle, query.data().data(), kDim, out.data());
     }
     benchmark::DoNotOptimize(out.data());
   }
-  ReportSimdTime(std::string("score_") + names[precision],
-                 state.range(1) != 0,
+  ReportSimdTime("score_" + name, state.range(1) != 0,
                  NsPerIter(state, MonotonicNowNs() - start_ns));
   state.SetItemsProcessed(state.iterations() * kEntities * kDim);
-  state.SetLabel(std::string(names[precision]) + "/" +
-                 simd::IsaName(simd::ActiveIsa()));
+  state.SetLabel(name + "/" + simd::IsaName(simd::ActiveIsa()));
 }
 BENCHMARK(BM_QuantScore)
     ->Args({0, 0})
     ->Args({0, 1})
     ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1});
+    ->Args({1, 1});
 
 void BM_ElementwiseSameBackward(benchmark::State& state) {
   int64_t rows = state.range(0);

@@ -58,10 +58,7 @@ RuntimeConfig RuntimeConfig::FromEnvironment() {
   config.pool_max_mb = ParseIntFlag(std::getenv("LOGCL_POOL_MAX_MB"), 0,
                                     INT64_MAX >> 20, config.pool_max_mb);
   config.simd = ParseBoolFlag(std::getenv("LOGCL_SIMD"), config.simd);
-  std::string quant = Lower(EnvString("LOGCL_QUANT"));
-  if (quant == "bf16" || quant == "int8") {
-    config.quant = quant;
-  }
+  if (Lower(EnvString("LOGCL_QUANT")) == "int8") config.quant = "int8";
   config.metrics_dump = EnvString("LOGCL_METRICS_DUMP");
   config.metrics_dump_file = EnvString("LOGCL_METRICS_DUMP_FILE");
   return config;

@@ -56,8 +56,8 @@ struct RuntimeConfig {
   bool simd = true;
 
   // --- Serving (serve/) ---------------------------------------------------
-  /// LOGCL_QUANT: default snapshot scoring precision ("fp32" | "bf16" |
-  /// "int8"). Default "fp32".
+  /// LOGCL_QUANT: default snapshot scoring precision ("fp32" | "int8",
+  /// case-insensitive; any other value keeps the default). Default "fp32".
   std::string quant = "fp32";
 
   // --- Observability (common/observability.h) -----------------------------

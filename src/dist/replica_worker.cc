@@ -75,8 +75,9 @@ Status ReplicaWorker::Start() {
         std::to_string(entity_end_) + ") invalid for " +
         std::to_string(num_entities) + " entities");
   }
+  // Workers score with fp32 ScoreBatch, so no int8 candidates are built.
   active_ = EngineSnapshot::Build(model_, options_.horizon,
-                                  options_.precision);
+                                  ScorePrecision::kFp32);
   Result<Listener> listener = Listener::Open(options_.listen_address);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener).value();

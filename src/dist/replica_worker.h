@@ -55,8 +55,6 @@ struct ReplicaWorkerOptions {
   /// whole entity space (pure replication).
   int64_t entity_begin = 0;
   int64_t entity_end = -1;
-  /// Scoring precision forwarded to EngineSnapshot::Build.
-  ScorePrecision precision = ScorePrecision::kFp32;
 };
 
 class ReplicaWorker {

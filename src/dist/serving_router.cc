@@ -261,7 +261,10 @@ Result<std::vector<std::pair<int64_t, float>>> ServingRouter::PredictTopK(
     return Status::FailedPrecondition(
         "fleet horizons may be mixed after a failed Advance");
   }
-  if (k <= 0) return std::vector<std::pair<int64_t, float>>{};
+  if (k < 1) {
+    return Status::InvalidArgument("top-k needs k >= 1, got " +
+                                   std::to_string(k));
+  }
   uint64_t start_ns = MonotonicNowNs();
   RouterRequestsCounter()->Increment();
   std::vector<uint8_t> request = EncodeTopK(query, k);

@@ -109,7 +109,8 @@ class ServingRouter {
       const std::vector<ServeQuery>& queries);
 
   /// Top-k (entity, softmax probability) for one query, element-for-element
-  /// equal to TopKSoftmax over the full score row.
+  /// equal to TopKSoftmax over the full score row. k < 1 is InvalidArgument
+  /// (as InferenceEngine::TryTopK) and sends nothing to the workers.
   Result<std::vector<std::pair<int64_t, float>>> PredictTopK(
       const ServeQuery& query, int64_t k);
 

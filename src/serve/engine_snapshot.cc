@@ -44,6 +44,14 @@ std::shared_ptr<const SnapshotGraph> Unowned(const SnapshotGraph* graph) {
                                               [](const SnapshotGraph*) {});
 }
 
+// Per-row int8 quantisation of the frozen candidate matrix [E, d].
+Int8Matrix QuantizeCandidates(const Tensor& entities) {
+  LOGCL_CHECK(entities.defined());
+  LOGCL_CHECK_EQ(entities.shape().rank(), 2);
+  return QuantizeInt8PerRow(entities.data().data(), entities.shape().rows(),
+                            entities.shape().cols());
+}
+
 }  // namespace
 
 std::shared_ptr<const EngineSnapshot> EngineSnapshot::Build(
@@ -74,10 +82,8 @@ std::shared_ptr<const EngineSnapshot> EngineSnapshot::Build(
   // Quantize the frozen candidate matrix. Only the local evolution yields a
   // query-independent candidate set; global-only models score against a
   // per-batch encode, so they fall back to fp32.
-  if (precision != ScorePrecision::kFp32 && model->config().use_local) {
-    snapshot->quant_ =
-        BuildQuantizedCandidates(snapshot->evolution_.local.entities,
-                                 precision);
+  if (precision == ScorePrecision::kInt8 && model->config().use_local) {
+    snapshot->int8_ = QuantizeCandidates(snapshot->evolution_.local.entities);
   }
   return snapshot;
 }
@@ -93,12 +99,11 @@ Tensor EngineSnapshot::ScoreBatch(
   return model_->ScoreWithEvolution(quads, evolution_, *history_);
 }
 
-std::vector<std::vector<float>> EngineSnapshot::ScoreBatchQuantized(
+Tensor EngineSnapshot::ScoreBatchQuantized(
     const std::vector<ServeQuery>& queries) const {
   LOGCL_CHECK(!queries.empty());
-  LOGCL_CHECK(precision() != ScorePrecision::kFp32)
-      << "ScoreBatchQuantized requires a quantized snapshot (precision() != "
-         "kFp32); use ScoreBatch";
+  LOGCL_CHECK(precision() == ScorePrecision::kInt8)
+      << "ScoreBatchQuantized requires an int8 snapshot; use ScoreBatch";
   std::vector<Quadruple> quads;
   quads.reserve(queries.size());
   for (const ServeQuery& q : queries) {
@@ -107,19 +112,18 @@ std::vector<std::vector<float>> EngineSnapshot::ScoreBatchQuantized(
   Tensor decoded = model_->DecodeWithEvolution(quads, evolution_, *history_);
   const int64_t batch = decoded.shape().rows();
   const int64_t dim = decoded.shape().cols();
-  const int64_t num_entities = quant_.rows();
+  const int64_t num_entities = int8_.rows;
   const float* dd = decoded.data().data();
-  std::vector<std::vector<float>> scores(static_cast<size_t>(batch));
-  // Rows are independent; each worker writes its own preallocated slots.
+  Tensor scores = Tensor::Uninitialized(Shape{batch, num_entities});
+  float* out = scores.mutable_data().data();
+  // Rows are independent; each worker writes its own rows.
   // Grain keeps small batches serial (the per-row work is num_entities
   // short dot products — far below a shard's worth at serving scale).
   int64_t grain = std::max<int64_t>(
       1, (int64_t{1} << 15) / std::max<int64_t>(1, num_entities * dim));
   ParallelFor(0, batch, grain, [&](int64_t b0, int64_t b1) {
     for (int64_t b = b0; b < b1; ++b) {
-      auto& row = scores[static_cast<size_t>(b)];
-      row.resize(static_cast<size_t>(num_entities));
-      ScoreQuantizedRow(quant_, dd + b * dim, dim, row.data());
+      ScoreQuantizedRow(int8_, dd + b * dim, dim, out + b * num_entities);
     }
   });
   return scores;
@@ -174,9 +178,8 @@ std::shared_ptr<const EngineSnapshot> EngineSnapshot::Advance(
   next->evolution_ = model_->PrecomputeEvolution(graphs, times, next->time_);
   // The candidate matrix changed with the window: requantize at the same
   // precision this snapshot serves.
-  if (quant_.precision != ScorePrecision::kFp32) {
-    next->quant_ = BuildQuantizedCandidates(next->evolution_.local.entities,
-                                            quant_.precision);
+  if (!int8_.empty()) {
+    next->int8_ = QuantizeCandidates(next->evolution_.local.entities);
   }
   return next;
 }

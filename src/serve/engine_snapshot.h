@@ -60,11 +60,11 @@ class EngineSnapshot {
   /// call before concurrent serving starts (it may lazily build dataset
   /// structure caches).
   ///
-  /// `precision` selects the reduced-precision scoring bundle quantized at
-  /// freeze time (default from LOGCL_QUANT). Non-fp32 precisions require a
-  /// query-independent candidate matrix — the local evolution's entity
-  /// embeddings — so global-only configurations silently fall back to fp32
-  /// (precision() reports the effective value).
+  /// `precision` kInt8 quantizes the candidate matrix at freeze time
+  /// (default from LOGCL_QUANT). int8 requires a query-independent
+  /// candidate matrix — the local evolution's entity embeddings — so
+  /// global-only configurations silently fall back to fp32 (precision()
+  /// reports the effective value).
   static std::shared_ptr<const EngineSnapshot> Build(
       const LogClModel* model, int64_t time,
       ScorePrecision precision = ScorePrecisionFromEnv());
@@ -77,18 +77,18 @@ class EngineSnapshot {
   /// batch composition.
   Tensor ScoreBatch(const std::vector<ServeQuery>& queries) const;
 
-  /// Reduced-precision scoring: decodes the batch in fp32 (bitwise the
-  /// decode stage of ScoreBatch), then dot-products each decoded row
-  /// against the quantized candidate bundle (serve/quant.h). Row i holds
-  /// query i's approximate logits over all entities. Requires
-  /// precision() != kFp32. Const and safe from concurrent threads.
-  std::vector<std::vector<float>> ScoreBatchQuantized(
-      const std::vector<ServeQuery>& queries) const;
+  /// int8 scoring: decodes the batch in fp32 (bitwise the decode stage of
+  /// ScoreBatch), then dot-products each decoded row against the int8
+  /// candidate matrix (serve/quant.h). Returns approximate logits [B, E].
+  /// Requires precision() == kInt8. Const and safe from concurrent threads.
+  Tensor ScoreBatchQuantized(const std::vector<ServeQuery>& queries) const;
 
   /// Effective scoring precision (kFp32 when quantization was not
   /// requested or not applicable to this model configuration).
-  ScorePrecision precision() const { return quant_.precision; }
-  const QuantizedCandidates& quantized_candidates() const { return quant_; }
+  ScorePrecision precision() const {
+    return int8_.empty() ? ScorePrecision::kFp32 : ScorePrecision::kInt8;
+  }
+  const Int8Matrix& int8_candidates() const { return int8_; }
 
   /// Copy-on-write successor: `new_facts` (all at this snapshot's horizon)
   /// complete the horizon snapshot, so the result serves horizon time()+1
@@ -128,10 +128,9 @@ class EngineSnapshot {
   // graphs created by Advance are owned here.
   std::vector<std::pair<int64_t, std::shared_ptr<const SnapshotGraph>>>
       window_;
-  // Reduced-precision candidate bundle, rebuilt by every Advance (the
-  // candidate matrix changes with the evolution window). precision kFp32
-  // when serving full precision.
-  QuantizedCandidates quant_;
+  // int8 candidate matrix, rebuilt by every Advance (the candidate matrix
+  // changes with the evolution window). Empty when serving fp32.
+  Int8Matrix int8_;
 };
 
 }  // namespace logcl

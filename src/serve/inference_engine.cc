@@ -244,32 +244,21 @@ void InferenceEngine::ProcessBatch(
     queries.push_back(r.query);
   }
   batch_size_hist_->Record(batch.size());
-  const bool quantized = snapshot->precision() != ScorePrecision::kFp32;
   uint64_t score_start = MonotonicNowNs();
-  Tensor scores;
-  std::vector<std::vector<float>> qscores;
-  if (quantized) {
-    qscores = snapshot->ScoreBatchQuantized(queries);
-  } else {
-    scores = snapshot->ScoreBatch(queries);
-  }
+  Tensor scores = snapshot->precision() == ScorePrecision::kInt8
+                      ? snapshot->ScoreBatchQuantized(queries)
+                      : snapshot->ScoreBatch(queries);
   score_us_hist_->Record((MonotonicNowNs() - score_start) / 1000);
-  int64_t num_entities = quantized
-                             ? static_cast<int64_t>(qscores.front().size())
-                             : scores.shape().cols();
-  const float* data = quantized ? nullptr : scores.data().data();
+  const int64_t num_entities = scores.shape().cols();
+  const float* data = scores.data().data();
 
   std::vector<EngineResponse> results(batch.size());
   uint64_t batch_latency_total = 0;
   uint64_t batch_latency_max = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
-    const float* row = quantized
-                           ? qscores[i].data()
-                           : data + static_cast<int64_t>(i) * num_entities;
+    const float* row = data + static_cast<int64_t>(i) * num_entities;
     if (batch[i].k > 0) {
       results[i].topk = TopKSoftmax(row, num_entities, batch[i].k);
-    } else if (quantized) {
-      results[i].row = std::move(qscores[i]);
     } else {
       results[i].row.assign(row, row + num_entities);
     }

@@ -59,7 +59,7 @@ struct EngineOptions {
   /// coalescing (every request is its own batch).
   int64_t batch_deadline_us = 200;
   /// Scoring precision for the engine's snapshots (defaults from
-  /// LOGCL_QUANT; see serve/quant.h). Non-fp32 decodes in fp32, then scores
+  /// LOGCL_QUANT; see serve/quant.h). kInt8 decodes in fp32, then scores
   /// against the candidate matrix quantized at snapshot build time. Falls
   /// back to fp32 when the model has no query-independent candidates
   /// (global-only configurations).

@@ -1,9 +1,6 @@
 #include "serve/quant.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "common/logging.h"
 #include "common/runtime_config.h"
@@ -12,51 +9,12 @@
 namespace logcl {
 
 ScorePrecision ScorePrecisionFromEnv() {
-  const std::string& s = RuntimeConfig::Get().quant;
-  if (s == "bf16") return ScorePrecision::kBf16;
-  if (s == "int8") return ScorePrecision::kInt8;
-  return ScorePrecision::kFp32;
+  return RuntimeConfig::Get().quant == "int8" ? ScorePrecision::kInt8
+                                              : ScorePrecision::kFp32;
 }
 
 const char* PrecisionName(ScorePrecision p) {
-  switch (p) {
-    case ScorePrecision::kBf16:
-      return "bf16";
-    case ScorePrecision::kInt8:
-      return "int8";
-    default:
-      return "fp32";
-  }
-}
-
-uint16_t Bf16FromFloat(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  if ((bits & 0x7fffffffu) > 0x7f800000u) {
-    // NaN: truncate but force a mantissa bit so it stays NaN.
-    return static_cast<uint16_t>((bits >> 16) | 0x0040u);
-  }
-  // Round to nearest, ties to even on the truncated 16 bits.
-  uint32_t rounding = 0x7fffu + ((bits >> 16) & 1u);
-  return static_cast<uint16_t>((bits + rounding) >> 16);
-}
-
-float Bf16ToFloat(uint16_t v) {
-  uint32_t bits = static_cast<uint32_t>(v) << 16;
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
-Bf16Matrix QuantizeBf16(const float* m, int64_t rows, int64_t cols) {
-  Bf16Matrix out;
-  out.rows = rows;
-  out.cols = cols;
-  out.data.resize(static_cast<size_t>(rows * cols));
-  for (int64_t i = 0; i < rows * cols; ++i) {
-    out.data[static_cast<size_t>(i)] = Bf16FromFloat(m[i]);
-  }
-  return out;
+  return p == ScorePrecision::kInt8 ? "int8" : "fp32";
 }
 
 float QuantizeRowInt8(const float* row, int64_t n, int8_t* out) {
@@ -93,34 +51,10 @@ Int8Matrix QuantizeInt8PerRow(const float* m, int64_t rows, int64_t cols) {
   return out;
 }
 
-QuantizedCandidates BuildQuantizedCandidates(const Tensor& entities,
-                                             ScorePrecision precision) {
-  QuantizedCandidates out;
-  out.precision = precision;
-  if (precision == ScorePrecision::kFp32) return out;
-  LOGCL_CHECK(entities.defined());
-  LOGCL_CHECK_EQ(entities.shape().rank(), 2);
-  int64_t rows = entities.shape().rows();
-  int64_t cols = entities.shape().cols();
-  const float* data = entities.data().data();
-  if (precision == ScorePrecision::kBf16) {
-    out.bf16 = QuantizeBf16(data, rows, cols);
-  } else {
-    out.int8 = QuantizeInt8PerRow(data, rows, cols);
-  }
-  return out;
-}
-
-void ScoreQuantizedRow(const QuantizedCandidates& candidates,
-                       const float* decoded, int64_t dim, float* out) {
+void ScoreQuantizedRow(const Int8Matrix& candidates, const float* decoded,
+                       int64_t dim, float* out) {
   LOGCL_CHECK(!candidates.empty());
-  LOGCL_CHECK_EQ(dim, candidates.cols());
-  if (candidates.precision == ScorePrecision::kBf16) {
-    const Bf16Matrix& m = candidates.bf16;
-    simd::ScoreRowsBf16(m.data.data(), decoded, m.rows, dim, out);
-    return;
-  }
-  const Int8Matrix& m = candidates.int8;
+  LOGCL_CHECK_EQ(dim, candidates.cols);
   // One symmetric quantisation of the query row per call; 256 covers every
   // configured embedding_dim, and larger dims spill to the heap.
   constexpr int64_t kStackDim = 256;
@@ -132,8 +66,8 @@ void ScoreQuantizedRow(const QuantizedCandidates& candidates,
     q = heap_q.data();
   }
   float qscale = QuantizeRowInt8(decoded, dim, q);
-  simd::ScoreRowsI8(m.data.data(), m.scales.data(), q, qscale, m.rows, dim,
-                    out);
+  simd::ScoreRowsI8(candidates.data.data(), candidates.scales.data(), q,
+                    qscale, candidates.rows, dim, out);
 }
 
 }  // namespace logcl

@@ -1,23 +1,19 @@
-// Reduced-precision candidate scoring for frozen EngineSnapshots.
+// int8 candidate scoring for frozen EngineSnapshots.
 //
 // The serving hot path is B decoded queries [B, d] dotted against the frozen
 // candidate entity matrix [E, d] — E dominates, and ranking (not logits) is
 // what the caller consumes. The candidate matrix is query-independent once a
 // snapshot is built, so it is quantized exactly once per Build()/Advance():
+// symmetric per-row int8, scale_i = maxabs(row_i) / 127. Scoring quantises
+// the decoded query row once per request (its own symmetric scale), runs
+// exact int32 dot products (simd::ScoreRowsI8), and rescales:
+// logit ~= q_scale * row_scale * dot.
 //
-//  - bf16: round-to-nearest-even truncation of each fp32 value to its high
-//    16 bits (8-bit exponent intact, 7 mantissa bits). Scoring dequantises
-//    on the fly into fp32 dot products.
-//  - int8: symmetric per-row quantisation, scale_i = maxabs(row_i) / 127.
-//    Scoring quantises the decoded query row once per request (its own
-//    symmetric scale), runs exact int32 dot products (simd::DotI8), and
-//    rescales: logit ~= q_scale * row_scale * dot.
-//
-// Neither path is bitwise-gated against fp32; the contract is statistical —
+// int8 is not bitwise-gated against fp32; the contract is statistical —
 // Spearman rank correlation >= 0.99 per score row and |delta MRR| <= 0.005
 // on the synthetic eval set (quant_test.cc enforces both). LOGCL_QUANT
-// selects the default precision (fp32 | bf16 | int8); snapshots silently
-// fall back to fp32 when the model's candidate matrix is query-conditioned
+// selects the default precision (fp32 | int8); snapshots silently fall back
+// to fp32 when the model's candidate matrix is query-conditioned
 // (global-only configurations) and there is nothing to freeze.
 
 #ifndef LOGCL_SERVE_QUANT_H_
@@ -26,32 +22,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/tensor.h"
-
 namespace logcl {
 
 /// Candidate-scoring precision for a frozen snapshot.
-enum class ScorePrecision { kFp32, kBf16, kInt8 };
+enum class ScorePrecision { kFp32, kInt8 };
 
-/// Default precision from LOGCL_QUANT (fp32 | bf16 | int8; unset => fp32).
+/// Default precision from LOGCL_QUANT (fp32 | int8; unset => fp32).
 ScorePrecision ScorePrecisionFromEnv();
 
 const char* PrecisionName(ScorePrecision p);
-
-/// fp32 -> bf16 with round-to-nearest-even (the truncation-with-rounding
-/// scheme hardware bf16 units use); NaN payloads are preserved enough to
-/// stay NaN.
-uint16_t Bf16FromFloat(float v);
-/// bf16 -> fp32 (exact: zero-extend the mantissa).
-float Bf16ToFloat(uint16_t v);
-
-/// Row-major bf16 matrix.
-struct Bf16Matrix {
-  int64_t rows = 0;
-  int64_t cols = 0;
-  std::vector<uint16_t> data;
-  bool empty() const { return data.empty(); }
-};
 
 /// Row-major int8 matrix with symmetric per-row scales:
 /// value[i][j] ~= data[i][j] * scales[i].
@@ -63,42 +42,18 @@ struct Int8Matrix {
   bool empty() const { return data.empty(); }
 };
 
-Bf16Matrix QuantizeBf16(const float* m, int64_t rows, int64_t cols);
 Int8Matrix QuantizeInt8PerRow(const float* m, int64_t rows, int64_t cols);
 
 /// Symmetric int8 quantisation of one fp32 row (the decoded query);
 /// returns the scale (0 for an all-zero row, with all codes 0).
 float QuantizeRowInt8(const float* row, int64_t n, int8_t* out);
 
-/// The frozen candidate entity matrix in one reduced precision, built at
-/// snapshot Build()/Advance() time. kFp32 precision means "not quantized".
-struct QuantizedCandidates {
-  ScorePrecision precision = ScorePrecision::kFp32;
-  Bf16Matrix bf16;    // filled when precision == kBf16
-  Int8Matrix int8;    // filled when precision == kInt8
-  int64_t rows() const {
-    return precision == ScorePrecision::kBf16 ? bf16.rows : int8.rows;
-  }
-  int64_t cols() const {
-    return precision == ScorePrecision::kBf16 ? bf16.cols : int8.cols;
-  }
-  bool empty() const {
-    return precision == ScorePrecision::kFp32 ||
-           (bf16.empty() && int8.empty());
-  }
-};
-
-/// Quantises `entities` [E, d] to `precision`. kFp32 returns an empty
-/// bundle.
-QuantizedCandidates BuildQuantizedCandidates(const Tensor& entities,
-                                             ScorePrecision precision);
-
 /// Approximate logits of one decoded query row [dim] against every
-/// candidate: out[e] ~= dot(decoded, entities[e]). `dim` must equal the
-/// bundle's cols and `out` must hold rows() floats. Serial per row — batch
-/// callers shard rows across threads.
-void ScoreQuantizedRow(const QuantizedCandidates& candidates,
-                       const float* decoded, int64_t dim, float* out);
+/// candidate: out[e] ~= dot(decoded, entities[e]). `dim` must equal
+/// `candidates.cols` and `out` must hold `candidates.rows` floats. Serial
+/// per row — batch callers shard rows across threads.
+void ScoreQuantizedRow(const Int8Matrix& candidates, const float* decoded,
+                       int64_t dim, float* out);
 
 }  // namespace logcl
 

@@ -142,12 +142,13 @@ StreamIngestReport StreamSession::IngestSnapshot(
   report.served = now.requests - last_stats_.requests;
   report.shed = now.shed - last_stats_.shed;
   last_stats_ = now;
-  // History-dependent tensor sizes change with every ingest, and the
-  // exact-size pool would keep each superseded size until its byte cap.
-  // The trim drops the whole pool on every thread, serving workers
-  // included, so same-shape buffers (entity x d, parameter-shaped) that
-  // serving would have reused are re-allocated after it. The superseded
-  // snapshot's tensors are released first so they are dropped too.
+  // History-dependent tensor sizes grow with every ingest and drift into
+  // new size classes, and the pool would keep each superseded class until
+  // its byte cap. The trim drops the whole pool on every thread, serving
+  // workers included, so same-shape buffers (entity x d, parameter-shaped)
+  // that serving would have reused are re-allocated after it. The
+  // superseded snapshot's tensors are released first so they are dropped
+  // too.
   stale.reset();
   TrimBufferPool();
   report.seconds = static_cast<double>(MonotonicNowNs() - start) * 1e-9;

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/runtime_config.h"
@@ -74,12 +73,8 @@ struct KernelTable {
                          int64_t, int64_t, int64_t);
   void (*matmul_tile)(const float*, int64_t, const float*, int64_t, float*,
                       int64_t, int64_t, int64_t, int64_t);
-  int32_t (*dot_i8)(const int8_t*, const int8_t*, int64_t);
-  float (*dot_bf16)(const uint16_t*, const float*, int64_t);
   void (*score_rows_i8)(const int8_t*, const float*, const int8_t*, float,
                         int64_t, int64_t, float*);
-  void (*score_rows_bf16)(const uint16_t*, const float*, int64_t, int64_t,
-                          float*);
 };
 
 // ---------------------------------------------------------------------------
@@ -265,19 +260,6 @@ int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n) {
   return sum;
 }
 
-inline float Bf16ToFloat(uint16_t v) {
-  uint32_t bits = static_cast<uint32_t>(v) << 16;
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
-float DotBf16(const uint16_t* a, const float* q, int64_t n) {
-  float sum = 0.0f;
-  for (int64_t i = 0; i < n; ++i) sum += Bf16ToFloat(a[i]) * q[i];
-  return sum;
-}
-
 void ScoreRowsI8(const int8_t* m, const float* scales, const int8_t* q,
                  float qscale, int64_t rows, int64_t dim, float* out) {
   for (int64_t e = 0; e < rows; ++e) {
@@ -286,17 +268,12 @@ void ScoreRowsI8(const int8_t* m, const float* scales, const int8_t* q,
   }
 }
 
-void ScoreRowsBf16(const uint16_t* m, const float* q, int64_t rows,
-                   int64_t dim, float* out) {
-  for (int64_t e = 0; e < rows; ++e) out[e] = DotBf16(m + e * dim, q, dim);
-}
-
 constexpr KernelTable kTable = {
     Add,          Sub,           Mul,          Accumulate, MulAccumulate,
     Axpy,         Scale,         AddScalar,    Relu,       ReluBackward,
     AccumulateFresh, MulAccumulateFresh, AxpyFresh, ReluBackwardFresh,
     RowMax,       MatMulRowsNN,  MatMulRowsNT, MatMulRowsTN,
-    MatMulTile,   DotI8,         DotBf16,      ScoreRowsI8, ScoreRowsBf16,
+    MatMulTile,   ScoreRowsI8,
 };
 
 }  // namespace scalar
@@ -638,31 +615,6 @@ LOGCL_TARGET_AVX2 int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n) {
   return sum;
 }
 
-LOGCL_TARGET_AVX2 inline float HorizontalSumF32(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  return _mm_cvtss_f32(s);
-}
-
-LOGCL_TARGET_AVX2 float DotBf16(const uint16_t* a, const float* q, int64_t n) {
-  // Lane-partial float accumulation: fast, not bitwise-stable vs scalar.
-  // Only the rank-correlation-gated quantized scoring path uses this.
-  __m256 acc = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    __m256i wide = _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16);
-    __m256 av = _mm256_castsi256_ps(wide);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(av, _mm256_loadu_ps(q + i)));
-  }
-  float sum = HorizontalSumF32(acc);
-  for (; i < n; ++i) sum += scalar::Bf16ToFloat(a[i]) * q[i];
-  return sum;
-}
-
 // Batched row scoring: one dispatch for the whole candidate matrix. At
 // serving dims (d = 16..64) each dot is only a few vector ops, so a
 // per-entity indirect call would cost more than the arithmetic.
@@ -675,17 +627,12 @@ LOGCL_TARGET_AVX2 void ScoreRowsI8(const int8_t* m, const float* scales,
   }
 }
 
-LOGCL_TARGET_AVX2 void ScoreRowsBf16(const uint16_t* m, const float* q,
-                                     int64_t rows, int64_t dim, float* out) {
-  for (int64_t e = 0; e < rows; ++e) out[e] = DotBf16(m + e * dim, q, dim);
-}
-
 constexpr KernelTable kTable = {
     Add,          Sub,          Mul,     Accumulate, MulAccumulate,
     Axpy,         Scale,        AddScalar, Relu,     ReluBackward,
     AccumulateFresh, MulAccumulateFresh, AxpyFresh, ReluBackwardFresh,
     RowMax,       MatMulRowsNN, nullptr, MatMulRowsTN,
-    MatMulTile,   DotI8,        DotBf16, ScoreRowsI8, ScoreRowsBf16,
+    MatMulTile,   ScoreRowsI8,
 };
 
 }  // namespace avx2
@@ -960,19 +907,6 @@ int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n) {
   return sum;
 }
 
-float DotBf16(const uint16_t* a, const float* q, int64_t n) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint32x4_t wide = vshlq_n_u32(vmovl_u16(vld1_u16(a + i)), 16);
-    float32x4_t av = vreinterpretq_f32_u32(wide);
-    acc = vaddq_f32(acc, vmulq_f32(av, vld1q_f32(q + i)));
-  }
-  float sum = vaddvq_f32(acc);
-  for (; i < n; ++i) sum += scalar::Bf16ToFloat(a[i]) * q[i];
-  return sum;
-}
-
 // Batched row scoring (one dispatch per candidate matrix; see the AVX2
 // comment).
 void ScoreRowsI8(const int8_t* m, const float* scales, const int8_t* q,
@@ -983,17 +917,12 @@ void ScoreRowsI8(const int8_t* m, const float* scales, const int8_t* q,
   }
 }
 
-void ScoreRowsBf16(const uint16_t* m, const float* q, int64_t rows,
-                   int64_t dim, float* out) {
-  for (int64_t e = 0; e < rows; ++e) out[e] = DotBf16(m + e * dim, q, dim);
-}
-
 constexpr KernelTable kTable = {
     Add,          Sub,          Mul,     Accumulate, MulAccumulate,
     Axpy,         Scale,        AddScalar, Relu,     ReluBackward,
     AccumulateFresh, MulAccumulateFresh, AxpyFresh, ReluBackwardFresh,
     RowMax,       MatMulRowsNN, nullptr, MatMulRowsTN,
-    MatMulTile,   DotI8,        DotBf16, ScoreRowsI8, ScoreRowsBf16,
+    MatMulTile,   ScoreRowsI8,
 };
 
 }  // namespace neon
@@ -1204,22 +1133,9 @@ void MatMulTile(const float* a, int64_t lda, const float* b, int64_t ldb,
   Active()->matmul_tile(a, lda, b, ldb, acc, acc_stride, rows, k, cols);
 }
 
-int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n) {
-  return Active()->dot_i8(a, b, n);
-}
-
-float DotBf16(const uint16_t* a, const float* q, int64_t n) {
-  return Active()->dot_bf16(a, q, n);
-}
-
 void ScoreRowsI8(const int8_t* m, const float* scales, const int8_t* q,
                  float qscale, int64_t rows, int64_t dim, float* out) {
   Active()->score_rows_i8(m, scales, q, qscale, rows, dim, out);
-}
-
-void ScoreRowsBf16(const uint16_t* m, const float* q, int64_t rows,
-                   int64_t dim, float* out) {
-  Active()->score_rows_bf16(m, q, rows, dim, out);
 }
 
 }  // namespace simd

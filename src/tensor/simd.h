@@ -22,8 +22,8 @@
 //    on, now vectorised),
 //  - reductions that are not exact under reordering (e.g. float dot
 //    products) are simply not offered as fp32 SIMD kernels.
-// Integer kernels (the int8 dot product) are exact under any summation
-// order, so they vectorise freely.
+// The int8 scoring kernel sums integers, which is exact under any order,
+// so it vectorises freely.
 //
 // Threading: kernels here are serial. Callers shard work with ParallelFor
 // and invoke kernels per shard, so the existing thread-count-invariance
@@ -144,29 +144,17 @@ void MatMulTile(const float* a, int64_t lda, const float* b, int64_t ldb,
                 float* acc, int64_t acc_stride, int64_t rows, int64_t k,
                 int64_t cols);
 
-// --- reduced-precision kernels (serving; no bitwise contract) --------------
+// --- int8 scoring kernel (serving; exact integer dot) ----------------------
 
-/// Exact int32 dot product of two int8 vectors (integer addition is
-/// associative, so every variant returns the same value).
-int32_t DotI8(const int8_t* a, const int8_t* b, int64_t n);
-
-/// fp32 dot of a bf16 row (high 16 bits of each float) against an fp32
-/// query. Lane-partial accumulation; NOT bitwise-stable across variants —
-/// callers gate it with rank-correlation tests, not equality.
-float DotBf16(const uint16_t* a, const float* q, int64_t n);
-
-/// Batched int8 scoring: out[e] = qscale * scales[e] * dot_i8(m row e, q)
-/// for e in [0, rows), rows of length `dim`. One dispatch for the whole
-/// candidate matrix — at serving dims each dot is a handful of vector ops,
-/// so a per-row indirect call would dominate. Same exactness as DotI8 (the
-/// float scaling is two IEEE multiplies per row in every variant).
+/// Batched int8 scoring: out[e] = qscale * scales[e] * dot(m row e, q) for
+/// e in [0, rows), rows of length `dim`. The dot is an exact int32 sum of
+/// int8 products (integer addition is associative, so every variant returns
+/// the same value while |dot| < 2^31) and the float scaling is two IEEE
+/// multiplies per row in every variant. One dispatch for the whole candidate
+/// matrix: at serving dims each dot is a handful of vector ops, so a per-row
+/// indirect call would dominate.
 void ScoreRowsI8(const int8_t* m, const float* scales, const int8_t* q,
                  float qscale, int64_t rows, int64_t dim, float* out);
-
-/// Batched bf16 scoring: out[e] = DotBf16(m row e, q). Same statistical
-/// (non-bitwise) contract as DotBf16.
-void ScoreRowsBf16(const uint16_t* m, const float* q, int64_t rows,
-                   int64_t dim, float* out);
 
 }  // namespace simd
 }  // namespace logcl

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/observability.h"
 #include "dist/protocol.h"
 #include "dist/replica_worker.h"
 #include "dist/serving_router.h"
@@ -471,6 +472,39 @@ TEST(DistServingTest, WorkerAnswersOtherConnectionsWhileAPrepareIsOpen) {
   ASSERT_EQ(static_cast<MsgType>(type), MsgType::kAdvanceCommitAck);
   EXPECT_EQ(HelloHorizon(&requests.value()), fixture.horizon() + 1);
 
+  EXPECT_TRUE(worker.Stop().ok());
+}
+
+TEST(DistServingTest, NonPositiveTopKIsInvalidArgumentWithoutWireTraffic) {
+  ServingFixture fixture;
+  ReplicaWorkerOptions options;
+  options.horizon = fixture.horizon();
+  ReplicaWorker worker(fixture.model(), options);
+  ASSERT_TRUE(worker.StartBackground().ok());
+  Result<std::unique_ptr<ServingRouter>> router =
+      ServingRouter::Connect({worker.address()});
+  ASSERT_TRUE(router.ok()) << router.status().message();
+
+  auto worker_requests = [] {
+    return Metrics().Snapshot().CounterValue("logcl.dist.worker_requests");
+  };
+  const ServeQuery query{3, 1};
+  const uint64_t before = worker_requests();
+  for (int64_t k : {int64_t{0}, int64_t{-1}}) {
+    Result<std::vector<std::pair<int64_t, float>>> got =
+        router.value()->PredictTopK(query, k);
+    ASSERT_FALSE(got.ok()) << "k=" << k;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << "k=" << k;
+  }
+  EXPECT_EQ(worker_requests(), before);
+  // The connection stays usable, and a valid request does reach the worker.
+  Result<std::vector<std::pair<int64_t, float>>> valid =
+      router.value()->PredictTopK(query, 3);
+  ASSERT_TRUE(valid.ok()) << valid.status().message();
+  EXPECT_EQ(valid.value().size(), 3u);
+  EXPECT_GT(worker_requests(), before);
+
+  ASSERT_TRUE(router.value()->Shutdown().ok());
   EXPECT_TRUE(worker.Stop().ok());
 }
 

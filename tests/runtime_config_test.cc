@@ -1,12 +1,13 @@
 // Tests for the LOGCL_* environment grammar (common/runtime_config.h): the
-// shared boolean and integer parses, the integer knobs read through the
-// real environment, and the EffectiveConfig() knob list.
+// shared boolean and integer parses, the integer and LOGCL_QUANT knobs read
+// through the real environment, and the EffectiveConfig() knob list.
 
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,11 @@ int64_t PoolMaxMbFor(const char* value) {
 int NumThreadsFor(const char* value) {
   ScopedEnv env("LOGCL_NUM_THREADS", std::string(value));
   return RuntimeConfig::FromEnvironment().num_threads;
+}
+
+std::string QuantFor(std::optional<std::string> value) {
+  ScopedEnv env("LOGCL_QUANT", std::move(value));
+  return RuntimeConfig::FromEnvironment().quant;
 }
 
 TEST(RuntimeConfigTest, BoolGrammarAcceptsBothSpellingsInAnyCase) {
@@ -120,6 +126,15 @@ TEST(RuntimeConfigTest, NumThreadsEnvKeepsAutoOnBadInput) {
   EXPECT_EQ(NumThreadsFor("-2"), 0);
   EXPECT_EQ(NumThreadsFor("2147483648"), 0);  // INT_MAX + 1
   EXPECT_EQ(NumThreadsFor("99999999999999999999"), 0);
+}
+
+TEST(RuntimeConfigTest, QuantEnvAcceptsInt8AndKeepsFp32Otherwise) {
+  EXPECT_EQ(QuantFor("int8"), "int8");
+  EXPECT_EQ(QuantFor("INT8"), "int8");
+  EXPECT_EQ(QuantFor("fp32"), "fp32");
+  EXPECT_EQ(QuantFor("bf16"), "fp32");
+  EXPECT_EQ(QuantFor("abc"), "fp32");
+  EXPECT_EQ(QuantFor(std::nullopt), "fp32");
 }
 
 TEST(RuntimeConfigTest, EffectiveConfigListsEachKnobOnce) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -278,64 +279,58 @@ TEST(SimdParityTest, MatMulTile) {
   }
 }
 
-TEST(SimdExactTest, DotI8MatchesIntegerReference) {
+// Scores `rows` int8 rows against `q` with unit scales under both kernel
+// tables and checks each output against the exact integer dot. |dot| < 2^24
+// keeps the float conversion exact, so equality is the contract.
+void ExpectScoreRowsI8Exact(const std::vector<int8_t>& m,
+                            const std::vector<int8_t>& q, int64_t rows) {
+  const int64_t n = static_cast<int64_t>(q.size());
+  std::vector<float> expect(static_cast<size_t>(rows));
+  for (int64_t e = 0; e < rows; ++e) {
+    int32_t dot = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      dot += static_cast<int32_t>(m[static_cast<size_t>(e * n + i)]) *
+             static_cast<int32_t>(q[static_cast<size_t>(i)]);
+    }
+    ASSERT_LT(std::abs(dot), 1 << 24) << "n=" << n;
+    expect[static_cast<size_t>(e)] = static_cast<float>(dot);
+  }
+  const std::vector<float> scales(static_cast<size_t>(rows), 1.0f);
   SimdGuard guard;
-  for (int64_t n : kSizes) {
-    std::vector<int8_t> a(static_cast<size_t>(n)), b(static_cast<size_t>(n));
-    uint64_t state = 7;
-    for (int64_t i = 0; i < n; ++i) {
-      state = state * 6364136223846793005ull + 1;
-      a[static_cast<size_t>(i)] = static_cast<int8_t>(state >> 40);
-      state = state * 6364136223846793005ull + 1;
-      b[static_cast<size_t>(i)] = static_cast<int8_t>(state >> 40);
-    }
-    int32_t expect = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      expect += static_cast<int32_t>(a[static_cast<size_t>(i)]) *
-                static_cast<int32_t>(b[static_cast<size_t>(i)]);
-    }
-    simd::SetSimdEnabled(true);
-    EXPECT_EQ(simd::DotI8(a.data(), b.data(), n), expect) << "simd n=" << n;
-    simd::SetSimdEnabled(false);
-    EXPECT_EQ(simd::DotI8(a.data(), b.data(), n), expect) << "scalar n=" << n;
+  for (bool simd_on : {true, false}) {
+    simd::SetSimdEnabled(simd_on);
+    std::vector<float> out(static_cast<size_t>(rows), -1.0f);
+    simd::ScoreRowsI8(m.data(), scales.data(), q.data(), 1.0f, rows, n,
+                      out.data());
+    EXPECT_EQ(out, expect) << (simd_on ? "simd" : "scalar") << " n=" << n;
   }
 }
 
-TEST(SimdExactTest, DotI8SaturatedRange) {
+TEST(SimdExactTest, ScoreRowsI8MatchesIntegerReference) {
+  const int64_t rows = 3;
+  for (int64_t n : kSizes) {
+    std::vector<int8_t> m(static_cast<size_t>(rows * n));
+    std::vector<int8_t> q(static_cast<size_t>(n));
+    uint64_t state = 7;
+    for (int8_t& v : m) {
+      state = state * 6364136223846793005ull + 1;
+      v = static_cast<int8_t>(state >> 40);
+    }
+    for (int8_t& v : q) {
+      state = state * 6364136223846793005ull + 1;
+      v = static_cast<int8_t>(state >> 40);
+    }
+    ExpectScoreRowsI8Exact(m, q, rows);
+  }
+}
+
+TEST(SimdExactTest, ScoreRowsI8SaturatedRange) {
   // +/-127 everywhere: the widening path must not overflow int16 pairwise
   // products (127 * 127 * 2 < 32768 holds; pin it).
   const int64_t n = 96;
-  std::vector<int8_t> a(static_cast<size_t>(n), 127);
-  std::vector<int8_t> b(static_cast<size_t>(n), -127);
-  EXPECT_EQ(simd::DotI8(a.data(), b.data(), n),
-            static_cast<int32_t>(n) * 127 * -127);
-}
-
-TEST(SimdApproxTest, DotBf16CloseToFp32Reference) {
-  // No bitwise contract across variants; both must sit within bf16's ~3
-  // decimal digits of the fp32 dot.
-  SimdGuard guard;
-  for (int64_t n : {int64_t{1}, int64_t{9}, int64_t{64}, int64_t{127}}) {
-    std::vector<float> a = Fill(n, 41), q = Fill(n, 42);
-    std::vector<uint16_t> abf(static_cast<size_t>(n));
-    double expect = 0.0, norm = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      uint32_t bits;
-      std::memcpy(&bits, &a[static_cast<size_t>(i)], sizeof(bits));
-      uint32_t rounded =
-          (bits + 0x7fffu + ((bits >> 16) & 1u)) & 0xffff0000u;
-      float av;
-      std::memcpy(&av, &rounded, sizeof(av));
-      abf[static_cast<size_t>(i)] = static_cast<uint16_t>(rounded >> 16);
-      expect += static_cast<double>(av) * q[static_cast<size_t>(i)];
-      norm += std::fabs(static_cast<double>(av) * q[static_cast<size_t>(i)]);
-    }
-    double tol = 1e-5 * (norm + 1.0);
-    simd::SetSimdEnabled(true);
-    EXPECT_NEAR(simd::DotBf16(abf.data(), q.data(), n), expect, tol);
-    simd::SetSimdEnabled(false);
-    EXPECT_NEAR(simd::DotBf16(abf.data(), q.data(), n), expect, tol);
-  }
+  std::vector<int8_t> m(static_cast<size_t>(n), 127);
+  std::vector<int8_t> q(static_cast<size_t>(n), -127);
+  ExpectScoreRowsI8Exact(m, q, /*rows=*/1);
 }
 
 // --- end to end: a training epoch is bitwise invariant to the kernel table --

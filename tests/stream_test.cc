@@ -119,9 +119,10 @@ TEST(StreamCheckpointTest, WritebackAllRoundTripsAndRejectsBadInput) {
 // ---------------------------------------------------------------------------
 
 // Streaming ingest grows history-dependent tensor shapes every snapshot, so
-// each release lands in a fresh exact-size bucket that nothing ever pops
-// again. Without the global-tier byte cap the process grows without bound
-// (observed: ~750 MiB/ingest at bench_stream's full profile).
+// releases drift into new size classes that nothing pops again once the
+// shapes have grown past them. Without the global-tier byte cap the process
+// grows without bound (observed with exact-size buckets: ~750 MiB/ingest at
+// bench_stream's full profile).
 TEST(StreamPoolCapTest, GlobalTierStaysBoundedUnderSizeDrift) {
   const int64_t cap_was = BufferPoolCapBytes();
   TrimBufferPool();
