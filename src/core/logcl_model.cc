@@ -190,6 +190,7 @@ LogClModel::EvolutionState LogClModel::PrecomputeEvolution(int64_t t) const {
     state.local = local_encoder_.Encode(dataset(), t, base_entities_,
                                         base_relations_, /*training=*/false,
                                         /*rng=*/nullptr);
+    state.candidates_t = ops::Transpose(state.local.entities);
   }
   return state;
 }
@@ -208,6 +209,7 @@ LogClModel::EvolutionState LogClModel::PrecomputeEvolution(
     state.local = local_encoder_.EncodeSequence(
         graphs, times, t, base_entities_, base_relations_,
         /*training=*/false, /*rng=*/nullptr);
+    state.candidates_t = ops::Transpose(state.local.entities);
   }
   return state;
 }
@@ -216,6 +218,12 @@ Tensor LogClModel::ScoreWithEvolution(const std::vector<Quadruple>& queries,
                                       const EvolutionState& evolution,
                                       const HistoryIndex& history) const {
   NoGradGuard no_grad;
+  if (evolution.candidates_t.defined()) {
+    // ConvTransE::Score's MatMul(Decode, Transpose(E)) with the transpose
+    // taken once per state: every row is bitwise the same.
+    return ops::MatMul(DecodeWithEvolution(queries, evolution, history),
+                       evolution.candidates_t);
+  }
   ScoreParts parts =
       ScorePhase(queries, evolution.base_entities, evolution.local, history,
                  /*training=*/false, /*rng=*/nullptr);

@@ -97,6 +97,11 @@ class LogClModel : public TkgModel {
     int64_t time = -1;
     Tensor base_entities;      // H_0 [E, d]
     LocalEncoderOutput local;  // empty when the local branch is disabled
+    // local.entities transposed to [d, E]: the candidate matrix every query
+    // is scored against, fixed for the life of the state, so it is laid
+    // out once here instead of once per scored batch. Undefined when the
+    // local branch is disabled (LogCL-G scores against a per-batch encode).
+    Tensor candidates_t;
   };
 
   /// Runs the evolution over the dataset's snapshots preceding `t` (exactly
@@ -112,19 +117,22 @@ class LogClModel : public TkgModel {
 
   /// Scores one batch of same-timestamp queries against every entity given a
   /// precomputed evolution and a history index; returns logits [B, E],
-  /// bitwise identical to ScoreQueries on the same state. Const and safe to
-  /// call from concurrent threads; `history` substitutes for the model's own
-  /// index so serving can extend history online.
+  /// bitwise identical to ScoreQueries on the same state. With the local
+  /// branch enabled this is DecodeWithEvolution times the state's
+  /// candidates_t (ConvTransE::Score's product, minus its per-call
+  /// transpose); LogCL-G scores against its per-batch global encode. Const
+  /// and safe to call from concurrent threads; `history` substitutes for
+  /// the model's own index so serving can extend history online.
   Tensor ScoreWithEvolution(const std::vector<Quadruple>& queries,
                             const EvolutionState& evolution,
                             const HistoryIndex& history) const;
 
   /// The decode-only prefix of ScoreWithEvolution: the [B, d] decoded query
-  /// representations that Score dot-products against the candidate entity
+  /// representations that are dot-producted against the candidate entity
   /// matrix (ConvTransE::Decode output). Bitwise identical to the decode
   /// stage inside ScoreWithEvolution — eval-mode ConvTransE is
-  /// deterministic — so reduced-precision serving (serve/quant.h) can score
-  /// these against quantized candidates while fp32 keeps the fused path.
+  /// deterministic — so fp32 serving multiplies these by candidates_t and
+  /// int8 serving (serve/quant.h) scores them against quantized candidates.
   Tensor DecodeWithEvolution(const std::vector<Quadruple>& queries,
                              const EvolutionState& evolution,
                              const HistoryIndex& history) const;

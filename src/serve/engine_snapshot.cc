@@ -88,7 +88,7 @@ std::shared_ptr<const EngineSnapshot> EngineSnapshot::Build(
   return snapshot;
 }
 
-Tensor EngineSnapshot::ScoreBatch(
+std::vector<Quadruple> EngineSnapshot::AtHorizon(
     const std::vector<ServeQuery>& queries) const {
   LOGCL_CHECK(!queries.empty());
   std::vector<Quadruple> quads;
@@ -96,20 +96,21 @@ Tensor EngineSnapshot::ScoreBatch(
   for (const ServeQuery& q : queries) {
     quads.push_back(Quadruple{q.subject, q.relation, /*object=*/0, time_});
   }
-  return model_->ScoreWithEvolution(quads, evolution_, *history_);
+  return quads;
+}
+
+Tensor EngineSnapshot::ScoreBatch(
+    const std::vector<ServeQuery>& queries) const {
+  return model_->ScoreWithEvolution(AtHorizon(queries), evolution_,
+                                    *history_);
 }
 
 Tensor EngineSnapshot::ScoreBatchQuantized(
     const std::vector<ServeQuery>& queries) const {
-  LOGCL_CHECK(!queries.empty());
   LOGCL_CHECK(precision() == ScorePrecision::kInt8)
       << "ScoreBatchQuantized requires an int8 snapshot; use ScoreBatch";
-  std::vector<Quadruple> quads;
-  quads.reserve(queries.size());
-  for (const ServeQuery& q : queries) {
-    quads.push_back(Quadruple{q.subject, q.relation, /*object=*/0, time_});
-  }
-  Tensor decoded = model_->DecodeWithEvolution(quads, evolution_, *history_);
+  Tensor decoded =
+      model_->DecodeWithEvolution(AtHorizon(queries), evolution_, *history_);
   const int64_t batch = decoded.shape().rows();
   const int64_t dim = decoded.shape().cols();
   const int64_t num_entities = int8_.rows;

@@ -71,10 +71,12 @@ class EngineSnapshot {
 
   /// Scores each query against every entity at the snapshot horizon;
   /// returns logits [B, E], bitwise identical to model->ScoreQueries on the
-  /// same batch. Const and safe from concurrent threads. Note the global
-  /// encoder message-passes over the batch *union* subgraph (see
-  /// core/global_encoder.h), so scores — like ScoreQueries' — depend on the
-  /// batch composition.
+  /// same batch. The decoded batch is multiplied by the candidate matrix
+  /// the build transposed once (EvolutionState::candidates_t), so no call
+  /// re-lays the [E, d] entity table. Const and safe from concurrent
+  /// threads. Note the global encoder message-passes over the batch *union*
+  /// subgraph (see core/global_encoder.h), so scores — like ScoreQueries' —
+  /// depend on the batch composition.
   Tensor ScoreBatch(const std::vector<ServeQuery>& queries) const;
 
   /// int8 scoring: decodes the batch in fp32 (bitwise the decode stage of
@@ -115,6 +117,11 @@ class EngineSnapshot {
 
  private:
   EngineSnapshot() = default;
+
+  /// The batch as (subject, relation, ?, time()) quadruples — the one
+  /// decode input of both scoring precisions. Checks `queries` is non-empty.
+  std::vector<Quadruple> AtHorizon(
+      const std::vector<ServeQuery>& queries) const;
 
   const LogClModel* model_ = nullptr;
   int64_t time_ = 0;

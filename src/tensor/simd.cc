@@ -976,22 +976,43 @@ inline const KernelTable* Active() {
   return GetDispatch().active.load(std::memory_order_relaxed);
 }
 
-// Blocked row-major transpose: out(cols x rows) = in(rows x cols)^T. Pure
-// copy — no rounding — so it never affects parity.
-void TransposeBlocked(const float* in, int64_t rows, int64_t cols,
-                      float* out) {
-  constexpr int64_t kBlock = 32;
-  for (int64_t i0 = 0; i0 < rows; i0 += kBlock) {
-    const int64_t i1 = std::min(rows, i0 + kBlock);
-    for (int64_t j0 = 0; j0 < cols; j0 += kBlock) {
-      const int64_t j1 = std::min(cols, j0 + kBlock);
-      for (int64_t i = i0; i < i1; ++i) {
-        for (int64_t j = j0; j < j1; ++j) {
-          out[j * rows + i] = in[i * cols + j];
-        }
-      }
+// Edge of the square tiles Transpose moves at a time.
+constexpr int64_t kTransposeTile = 32;
+// Do not split a transpose into shards below this many tiles (64K floats;
+// a d x d weight at d=200 stays on one thread).
+constexpr int64_t kTransposeShardTiles = 64;
+
+// Transposes the 32x32 tiles [t0, t1) of in(rows x cols), numbered
+// row-major, into out(cols x rows), storing each element through `write`.
+// Within a tile both the 32 source rows and the 32 destination rows stay in
+// L1, so neither side is walked at a full-matrix stride; each destination
+// row segment is written contiguously.
+template <typename Write>
+void TransposeTiles(const float* in, int64_t rows, int64_t cols, float* out,
+                    int64_t t0, int64_t t1, Write write) {
+  const int64_t col_tiles = (cols + kTransposeTile - 1) / kTransposeTile;
+  for (int64_t t = t0; t < t1; ++t) {
+    const int64_t i0 = (t / col_tiles) * kTransposeTile;
+    const int64_t j0 = (t % col_tiles) * kTransposeTile;
+    const int64_t i1 = std::min(rows, i0 + kTransposeTile);
+    const int64_t j1 = std::min(cols, j0 + kTransposeTile);
+    for (int64_t j = j0; j < j1; ++j) {
+      float* out_row = out + j * rows;
+      for (int64_t i = i0; i < i1; ++i) write(out_row[i], in[i * cols + j]);
     }
   }
+}
+
+template <typename Write>
+void TransposeSharded(const float* in, int64_t rows, int64_t cols, float* out,
+                      Write write) {
+  const int64_t tiles = ((rows + kTransposeTile - 1) / kTransposeTile) *
+                        ((cols + kTransposeTile - 1) / kTransposeTile);
+  // Each output element belongs to exactly one tile, so shards write
+  // disjoint elements and the result is the same at any thread count.
+  ParallelFor(0, tiles, kTransposeShardTiles, [&](int64_t t0, int64_t t1) {
+    TransposeTiles(in, rows, cols, out, t0, t1, write);
+  });
 }
 
 }  // namespace
@@ -1083,6 +1104,23 @@ void MatMulRowsTN(const float* a, const float* b, float* c, int64_t m,
   Active()->matmul_rows_tn(a, b, c, m, k, n, r0, r1);
 }
 
+void Transpose(const float* in, int64_t rows, int64_t cols, float* out,
+               TransposeWrite write) {
+  switch (write) {
+    case TransposeWrite::kCopy:
+      TransposeSharded(in, rows, cols, out, [](float& o, float x) { o = x; });
+      return;
+    case TransposeWrite::kFresh:
+      TransposeSharded(in, rows, cols, out,
+                       [](float& o, float x) { o = 0.0f + x; });
+      return;
+    case TransposeWrite::kAccumulate:
+      TransposeSharded(in, rows, cols, out,
+                       [](float& o, float x) { o += x; });
+      return;
+  }
+}
+
 void MatMulAccumNN(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n) {
   const KernelTable* t = Active();
@@ -1112,7 +1150,7 @@ void MatMulAccumNT(const float* a, const float* b, float* c, int64_t m,
   // paths stay bitwise-equal.
   PooledBuffer bt(static_cast<size_t>(n) * static_cast<size_t>(k),
                   BufferFill::kUninit);
-  TransposeBlocked(b, k, n, bt.data());
+  Transpose(b, k, n, bt.data());
   const float* btp = bt.data();
   ParallelFor(0, m, MatMulRowGrain(n * k), [&](int64_t r0, int64_t r1) {
     t->matmul_rows_nn(a, btp, c, m, n, k, r0, r1);

@@ -144,6 +144,22 @@ void MatMulTile(const float* a, int64_t lda, const float* b, int64_t ldb,
                 float* acc, int64_t acc_stride, int64_t rows, int64_t k,
                 int64_t cols);
 
+// --- transpose (a pure copy: no rounding, so it never affects parity) ------
+
+/// How Transpose stores each element into the destination.
+enum class TransposeWrite {
+  kCopy,        // out = x
+  kFresh,       // out = 0 + x (the fresh-grad form; -0.0 becomes +0.0)
+  kAccumulate,  // out += x
+};
+
+/// out(cols x rows) = in(rows x cols)^T, each element stored per `write`.
+/// Moves 32x32 tiles, sharded internally with ParallelFor over the
+/// row-major tile sequence; every element is written by exactly one shard,
+/// so the result is independent of the thread count.
+void Transpose(const float* in, int64_t rows, int64_t cols, float* out,
+               TransposeWrite write = TransposeWrite::kCopy);
+
 // --- int8 scoring kernel (serving; exact integer dot) ----------------------
 
 /// Batched int8 scoring: out[e] = qscale * scales[e] * dot(m row e, q) for

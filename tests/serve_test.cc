@@ -21,7 +21,9 @@
 #include "serve/inference_engine.h"
 #include "synth/generator.h"
 #include "tensor/checkpoint.h"
+#include "tensor/ops.h"
 #include "tensor/optimizer.h"
+#include "tensor/simd.h"
 #include "tkg/dataset.h"
 
 namespace logcl {
@@ -59,6 +61,16 @@ LogClConfig ServeConfig() {
 
 std::vector<Quadruple> ServeQueriesAt(int64_t t) {
   return {{0, 0, 1, t}, {2, 1, 3, t}, {7, 3, 0, t}, {11, 8, 4, t}};
+}
+
+// 32 queries at `t` cycling over the serve world's 25 entities and its 10
+// relations with inverses — a full batch at the paper's batch size.
+std::vector<Quadruple> ServeBatch32At(int64_t t) {
+  std::vector<Quadruple> quads;
+  for (int64_t i = 0; i < 32; ++i) {
+    quads.push_back({(i * 7) % 25, (i * 3) % 10, /*object=*/0, t});
+  }
+  return quads;
 }
 
 std::vector<ServeQuery> AsServeQueries(const std::vector<Quadruple>& quads) {
@@ -99,16 +111,58 @@ class ThreadCountGuard {
 
 // --- Snapshot parity --------------------------------------------------------
 
+// ScoreBatch multiplies the decoded batch by the candidate transpose the
+// build cached; ScoreQueries transposes the entity matrix per call. Both
+// kernel tables, 1 and 4 threads, at B=1, 4 and 32.
 TEST(ServeSnapshotTest, ScoreBatchMatchesModelBitwise) {
   TkgDataset data = ServeData();
   LogClModel model(&data, ServeConfig());
-  std::vector<Quadruple> queries = ServeQueriesAt(25);
-  for (int threads : {1, 4}) {
-    ThreadCountGuard guard(threads);
-    auto snapshot = EngineSnapshot::Build(&model, 25);
-    ASSERT_EQ(snapshot->time(), 25);
-    Tensor scores = snapshot->ScoreBatch(AsServeQueries(queries));
-    ExpectScoresBitwiseEqual(scores, model.ScoreQueries(queries));
+  std::vector<Quadruple> batch32 = ServeBatch32At(25);
+  const std::vector<Quadruple> batches[] = {{batch32[5]}, ServeQueriesAt(25),
+                                            batch32};
+  const bool simd_was = simd::SimdEnabled();
+  for (bool simd_on : {false, true}) {
+    simd::SetSimdEnabled(simd_on);
+    for (int threads : {1, 4}) {
+      ThreadCountGuard guard(threads);
+      auto snapshot = EngineSnapshot::Build(&model, 25);
+      EXPECT_EQ(snapshot->time(), 25);
+      for (const std::vector<Quadruple>& batch : batches) {
+        SCOPED_TRACE(testing::Message() << "simd=" << simd_on << " threads="
+                                        << threads << " B=" << batch.size());
+        ExpectScoresBitwiseEqual(snapshot->ScoreBatch(AsServeQueries(batch)),
+                                 model.ScoreQueries(batch));
+      }
+    }
+  }
+  simd::SetSimdEnabled(simd_was);
+}
+
+TEST(ServeSnapshotTest, EvolutionCachesTransposedCandidates) {
+  TkgDataset data = ServeData();
+  LogClModel model(&data, ServeConfig());
+  LogClModel::EvolutionState state = model.PrecomputeEvolution(25);
+  ASSERT_TRUE(state.candidates_t.defined());
+  Tensor expected = ops::Transpose(state.local.entities);
+  EXPECT_EQ(state.candidates_t.shape(), expected.shape());
+  EXPECT_EQ(state.candidates_t.data(), expected.data());
+}
+
+// LogCL-G scores against the per-batch global encode, so its evolution has
+// no cached candidate matrix and ScoreWithEvolution keeps the per-batch
+// ConvTransE::Score path.
+TEST(ServeSnapshotTest, GlobalOnlyScoreBatchMatchesModelBitwise) {
+  TkgDataset data = ServeData();
+  LogClConfig config = ServeConfig();
+  config.use_local = false;
+  LogClModel model(&data, config);
+  EXPECT_FALSE(model.PrecomputeEvolution(25).candidates_t.defined());
+  auto snapshot = EngineSnapshot::Build(&model, 25);
+  std::vector<Quadruple> batch32 = ServeBatch32At(25);
+  for (const std::vector<Quadruple>& batch :
+       {std::vector<Quadruple>{batch32[5]}, ServeQueriesAt(25), batch32}) {
+    ExpectScoresBitwiseEqual(snapshot->ScoreBatch(AsServeQueries(batch)),
+                             model.ScoreQueries(batch));
   }
 }
 
@@ -152,6 +206,14 @@ TEST(ServeSnapshotTest, AdvanceMatchesModelWithExtendedDataset) {
   std::vector<Quadruple> day1 = ServeQueriesAt(horizon + 1);
   ExpectScoresBitwiseEqual(advanced->ScoreBatch(AsServeQueries(day1)),
                            model_full.ScoreQueries(day1));
+  // Advance re-caches the transposed candidates: a fresh build at the new
+  // horizon scores a full batch identically.
+  std::vector<ServeQuery> day1_full =
+      AsServeQueries(ServeBatch32At(horizon + 1));
+  EXPECT_EQ(advanced->ScoreBatch(day1_full).data(),
+            EngineSnapshot::Build(&model_full, horizon + 1)
+                ->ScoreBatch(day1_full)
+                .data());
 
   // A second hop exercises the owned-graph window rotation.
   auto advanced2 = advanced->Advance(full.FactsAt(horizon + 1));
@@ -159,6 +221,12 @@ TEST(ServeSnapshotTest, AdvanceMatchesModelWithExtendedDataset) {
   std::vector<Quadruple> day2 = ServeQueriesAt(horizon + 2);
   ExpectScoresBitwiseEqual(advanced2->ScoreBatch(AsServeQueries(day2)),
                            model_full.ScoreQueries(day2));
+  std::vector<ServeQuery> day2_full =
+      AsServeQueries(ServeBatch32At(horizon + 2));
+  EXPECT_EQ(advanced2->ScoreBatch(day2_full).data(),
+            EngineSnapshot::Build(&model_full, horizon + 2)
+                ->ScoreBatch(day2_full)
+                .data());
   // The original snapshot is untouched by either Advance.
   EXPECT_EQ(snapshot->time(), horizon);
 }

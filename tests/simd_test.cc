@@ -258,6 +258,44 @@ TEST(SimdParityTest, MatMulRowsTNRangesComposeToWhole) {
   }
 }
 
+// The blocked, sharded transpose against the naive loop, for every store
+// mode. Shapes are ragged (no dimension a multiple of the 32-wide tile
+// except the 32 x 64 control) and the last two exceed one shard, so the
+// 4-thread runs split partial tiles across workers. Inputs include -0.0,
+// which the fresh mode must store as +0.0.
+TEST(SimdExactTest, TransposeMatchesNaiveLoop) {
+  const struct {
+    int64_t rows, cols;
+  } kShapes[] = {{0, 5}, {5, 0}, {1, 1}, {1, 33}, {33, 1}, {31, 33},
+                 {32, 64}, {65, 97}, {300, 257}, {70, 2001}};
+  const simd::TransposeWrite kModes[] = {simd::TransposeWrite::kCopy,
+                                         simd::TransposeWrite::kFresh,
+                                         simd::TransposeWrite::kAccumulate};
+  for (const auto& s : kShapes) {
+    std::vector<float> in = Fill(s.rows * s.cols, 31);
+    for (size_t i = 0; i < in.size(); i += 7) in[i] = -0.0f;
+    std::vector<float> out0 = Fill(s.rows * s.cols, 32);
+    for (simd::TransposeWrite mode : kModes) {
+      std::vector<float> naive = out0;
+      for (int64_t i = 0; i < s.rows; ++i) {
+        for (int64_t j = 0; j < s.cols; ++j) {
+          float x = in[static_cast<size_t>(i * s.cols + j)];
+          float& o = naive[static_cast<size_t>(j * s.rows + i)];
+          if (mode == simd::TransposeWrite::kCopy) o = x;
+          if (mode == simd::TransposeWrite::kFresh) o = 0.0f + x;
+          if (mode == simd::TransposeWrite::kAccumulate) o += x;
+        }
+      }
+      for (int threads : {1, 4}) {
+        ThreadCountGuard guard(threads);
+        std::vector<float> out = out0;
+        simd::Transpose(in.data(), s.rows, s.cols, out.data(), mode);
+        ExpectBitwiseEqual(naive, out, "transpose");
+      }
+    }
+  }
+}
+
 TEST(SimdParityTest, MatMulTile) {
   // The fused message-passing inner tile: rows x cols <= kTileRows x
   // kTileCols with arbitrary leading strides.
