@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -32,7 +33,25 @@ int DefaultNumThreads() {
   int configured = RuntimeConfig::Get().num_threads;
   if (configured > 0) return configured;
   unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return hw > 0 ? std::min(static_cast<int>(hw), kMaxNumThreads) : 1;
+}
+
+// Registry counters for dispatched parallel work (regions that actually hit
+// the pool; nested and one-chunk fast paths are not counted — they are the
+// cases the runtime avoided dispatching). A region that found another
+// thread's region holding the pool counts as inline_regions instead: how
+// often concurrent callers (serving beside training, two replicas) overlap.
+void NoteParallelRegion(int64_t num_chunks) {
+  static Counter* regions = Metrics().GetCounter("logcl.parallel.regions");
+  static Counter* chunks = Metrics().GetCounter("logcl.parallel.chunks");
+  regions->Increment();
+  chunks->Add(static_cast<uint64_t>(num_chunks));
+}
+
+void NoteInlineRegion() {
+  static Counter* inline_regions =
+      Metrics().GetCounter("logcl.parallel.inline_regions");
+  inline_regions->Increment();
 }
 
 class ThreadPool {
@@ -51,14 +70,23 @@ class ThreadPool {
     std::lock_guard<std::mutex> run_lock(run_mu_);
     StopWorkers();
     std::lock_guard<std::mutex> lock(mu_);
-    num_threads_ = n > 0 ? n : DefaultNumThreads();
+    num_threads_ = n > 0 ? std::min(n, kMaxNumThreads) : DefaultNumThreads();
   }
 
   // Runs fn(c) for every chunk c in [0, num_chunks); the calling thread
-  // participates. Top-level regions from different threads are serialised
-  // on run_mu_.
+  // participates. When another thread's top-level region holds the pool,
+  // the chunks run here, in order, instead of queueing behind it: the
+  // partition was fixed by the caller, so the result is the same bits.
   void Run(int64_t num_chunks, const std::function<void(int64_t)>& fn) {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
+    std::unique_lock<std::mutex> run_lock(run_mu_, std::try_to_lock);
+    if (!run_lock.owns_lock()) {
+      NoteInlineRegion();
+      tls_in_parallel_region = true;
+      for (int64_t c = 0; c < num_chunks; ++c) fn(c);
+      tls_in_parallel_region = false;
+      return;
+    }
+    NoteParallelRegion(num_chunks);
     EnsureWorkers();
     auto job = std::make_shared<Job>();
     job->fn = &fn;
@@ -140,7 +168,7 @@ class ThreadPool {
     }
   }
 
-  std::mutex run_mu_;  // serialises top-level Run() calls
+  std::mutex run_mu_;  // held by the one top-level region using the workers
   std::mutex mu_;      // guards all fields below
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
@@ -150,16 +178,6 @@ class ThreadPool {
   uint64_t job_seq_ = 0;
   std::shared_ptr<Job> current_job_;
 };
-
-// Registry counters for dispatched parallel work (regions that actually hit
-// the pool; inline/nested fast paths are not counted — they are the cases
-// the runtime avoided dispatching).
-void NoteParallelRegion(int64_t num_chunks) {
-  static Counter* regions = Metrics().GetCounter("logcl.parallel.regions");
-  static Counter* chunks = Metrics().GetCounter("logcl.parallel.chunks");
-  regions->Increment();
-  chunks->Add(static_cast<uint64_t>(num_chunks));
-}
 
 }  // namespace
 
@@ -176,7 +194,6 @@ void RunChunks(int64_t num_chunks,
     for (int64_t c = 0; c < num_chunks; ++c) chunk_fn(c);
     return;
   }
-  NoteParallelRegion(num_chunks);
   ThreadPool::Instance().Run(num_chunks, chunk_fn);
 }
 

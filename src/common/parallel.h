@@ -3,8 +3,9 @@
 //
 // Design notes:
 //  - Pool size comes from SetNumThreads(), else the LOGCL_NUM_THREADS env
-//    var, else std::thread::hardware_concurrency(). The count includes the
-//    calling thread, so SetNumThreads(1) means "no workers, run inline".
+//    var, else std::thread::hardware_concurrency(), capped at
+//    kMaxNumThreads. The count includes the calling thread, so
+//    SetNumThreads(1) means "no workers, run inline".
 //  - ParallelFor uses *static* range partitioning: [begin, end) is split
 //    into at most GetNumThreads() contiguous sub-ranges of near-equal size
 //    (each at least `grain` indices, except possibly the last), so the
@@ -18,6 +19,13 @@
 //    what the 1-vs-N determinism tests assert.
 //  - Nested parallel calls (from inside a ParallelFor body) run inline on
 //    the calling thread; the decomposition contracts above are unaffected.
+//  - One top-level region uses the workers at a time. A top-level region
+//    that finds another thread's region running (the serving dispatcher
+//    beside a fine-tune, two replicas in one process) does not wait for
+//    it: it runs its own chunks in order on its own thread, as a nested
+//    call does. The partition depends only on (range, grain, thread
+//    count), so the result is the same bits; the
+//    `logcl.parallel.inline_regions` counter records how often it happens.
 //  - Per-thread fast path for memory: worker threads recycle kernel scratch
 //    through the tensor buffer pool's thread-local caches (see
 //    tensor/buffer_pool.h), so per-shard PooledBuffer scratch inside
@@ -36,13 +44,19 @@
 
 namespace logcl {
 
-/// Threads the pool targets for top-level parallel regions (>= 1, includes
-/// the calling thread).
+/// Largest pool size (calling thread included). SetNumThreads clamps to it,
+/// and LOGCL_NUM_THREADS values above it fall back to auto, so a typo
+/// cannot make the first region start billions of threads.
+inline constexpr int kMaxNumThreads = 256;
+
+/// Threads the pool targets for top-level parallel regions (1 to
+/// kMaxNumThreads, includes the calling thread).
 int GetNumThreads();
 
 /// Resizes the pool; n <= 0 restores the default (LOGCL_NUM_THREADS env var
-/// or hardware concurrency). Joins existing workers, so it must not be
-/// called while a parallel region is running.
+/// or hardware concurrency), n > kMaxNumThreads is clamped to it. Joins
+/// existing workers, so it must not be called while a parallel region is
+/// running.
 void SetNumThreads(int n);
 
 namespace internal_parallel {

@@ -1,11 +1,13 @@
 #include "common/runtime_config.h"
 
 #include <cerrno>
-#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <string>
+
+#include "common/parallel.h"
 
 namespace logcl {
 
@@ -50,7 +52,8 @@ int64_t ParseIntFlag(const char* value, int64_t min_value, int64_t max_value,
 RuntimeConfig RuntimeConfig::FromEnvironment() {
   RuntimeConfig config;
   config.num_threads = static_cast<int>(ParseIntFlag(
-      std::getenv("LOGCL_NUM_THREADS"), 0, INT_MAX, config.num_threads));
+      std::getenv("LOGCL_NUM_THREADS"), 0, kMaxNumThreads,
+      config.num_threads));
   config.poison_uninit =
       ParseBoolFlag(std::getenv("LOGCL_POISON_UNINIT"), config.poison_uninit);
   // The cap is kept in bytes (tensor/buffer_pool.cc), so the MiB value must

@@ -34,8 +34,9 @@ namespace logcl {
 
 struct RuntimeConfig {
   // --- Parallel runtime (common/parallel.h) -------------------------------
-  /// LOGCL_NUM_THREADS: worker count of the shared pool. 0 = auto (hardware
-  /// concurrency). Default 0.
+  /// LOGCL_NUM_THREADS: worker count of the shared pool, at most
+  /// kMaxNumThreads (common/parallel.h); larger values keep auto. 0 = auto
+  /// (hardware concurrency). Default 0.
   int num_threads = 0;
 
   // --- Tensor memory (tensor/buffer_pool.h) -------------------------------

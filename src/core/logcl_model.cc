@@ -404,17 +404,6 @@ void LogClModel::ExtendHistory(const std::vector<Quadruple>& facts) {
   history_.AddFacts(facts);
 }
 
-double LogClModel::TrainOnStreamFacts(
-    const std::vector<Quadruple>& facts,
-    const std::vector<const SnapshotGraph*>& graphs,
-    const std::vector<int64_t>& times, int64_t t, AdamOptimizer* optimizer) {
-  if (facts.empty()) return 0.0;
-  optimizer->ZeroGrad();
-  EpochStats step = ForwardBackwardOnFacts(facts, graphs, times, t);
-  optimizer->Step();
-  return step.loss;
-}
-
 std::vector<std::pair<int64_t, float>> LogClModel::PredictTopK(
     const Quadruple& query, int64_t k) {
   std::vector<std::vector<float>> scores = ScoreQueries({query});

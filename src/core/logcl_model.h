@@ -165,16 +165,9 @@ class LogClModel : public TkgModel {
 
   /// Extends the model's own history index with `facts` plus inverses (all
   /// at or beyond the index's maximum time) — the continual-learning step
-  /// behind StreamSession::Advance.
+  /// of StreamSession::IngestSnapshot. Serving never reads this index (each
+  /// EngineSnapshot owns its own), so it may run while snapshots score.
   void ExtendHistory(const std::vector<Quadruple>& facts);
-
-  /// One fine-tune step on streamed facts at timestamp `t` over an explicit
-  /// snapshot window: ZeroGrad, two-phase forward/backward, Adam step. No
-  /// gradient clipping runs on this path. Returns the step's mean loss.
-  double TrainOnStreamFacts(const std::vector<Quadruple>& facts,
-                            const std::vector<const SnapshotGraph*>& graphs,
-                            const std::vector<int64_t>& times, int64_t t,
-                            AdamOptimizer* optimizer);
 
   /// The training RNG stream, exposed so a single process can replay the
   /// per-rank streams of a distributed run (dropout consumption depends on

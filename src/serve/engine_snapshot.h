@@ -55,10 +55,12 @@ class EngineSnapshot {
   /// facts strictly before `time` (a serving process never observes the
   /// horizon, unlike the offline protocol's all-splits index — queries at
   /// `time` answer identically either way). The model must outlive the
-  /// snapshot, be in eval mode when configured with noise injection, and
-  /// not train while snapshots built from it are serving. Single-threaded:
-  /// call before concurrent serving starts (it may lazily build dataset
-  /// structure caches).
+  /// snapshot and be in eval mode when configured with noise injection.
+  /// Its weights must not be written while a snapshot built from it scores;
+  /// concurrent reads (a training forward/backward) are allowed, because
+  /// scoring reads the weights and this snapshot's own history index and
+  /// writes no model state. Single-threaded: call before concurrent
+  /// serving starts (it may lazily build dataset structure caches).
   ///
   /// `precision` kInt8 quantizes the candidate matrix at freeze time
   /// (default from LOGCL_QUANT). int8 requires a query-independent

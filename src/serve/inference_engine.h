@@ -104,7 +104,10 @@ class InferenceEngine {
  public:
   /// Builds the initial snapshot of `model` at horizon `time` and starts the
   /// dispatcher. Forces eval mode on the model so serving is deterministic.
-  /// The model must outlive the engine and must not train while serving.
+  /// The model must outlive the engine. Weights must not be written while a
+  /// snapshot scores; concurrent reads are allowed (a forward/backward pass
+  /// on the model may run beside serving, its optimizer step may not —
+  /// wrap that in Pause()/Resume()).
   InferenceEngine(LogClModel* model, int64_t time, EngineOptions options = {});
 
   /// Drains pending requests, then joins the dispatcher.
@@ -150,9 +153,10 @@ class InferenceEngine {
 
   /// Quiesces scoring: blocks until the in-flight batch (if any) finishes,
   /// then holds the dispatcher idle — queued requests wait, submissions
-  /// still enqueue (and still shed on depth). The streaming session pauses
-  /// the engine while fine-tuning mutates the weights its snapshots read;
-  /// Resume() restarts dispatch.
+  /// still enqueue (and still shed on depth). Weights must not be written
+  /// while a snapshot scores; concurrent reads are allowed, so the
+  /// streaming session pauses the engine only while an optimizer step
+  /// writes the weights its snapshots read. Resume() restarts dispatch.
   void Pause();
   void Resume();
 

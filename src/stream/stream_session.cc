@@ -84,9 +84,12 @@ StreamIngestReport StreamSession::IngestSnapshot(
     report.seconds_eval += static_cast<double>(MonotonicNowNs() - t0) * 1e-9;
   }
 
-  // Quiesced fine-tune: the engine holds scoring while weights mutate;
-  // submissions keep enqueuing (and shedding on depth) meanwhile.
-  engine_.Pause();
+  // Fine-tune beside live serving. Forward and backward only read the
+  // weights the live snapshot decodes with (gradients, the optimizer state
+  // and the model's own history index are the session's alone), so the
+  // engine keeps scoring through them; it holds scoring only while each
+  // pass's Adam step writes the weights. Submissions keep enqueuing (and
+  // shedding on depth) during that pause.
   uint64_t finetune_start = MonotonicNowNs();
   model_->ExtendHistory(facts);
   if (!facts.empty()) {
@@ -100,9 +103,13 @@ StreamIngestReport StreamSession::IngestSnapshot(
     }
     double loss_sum = 0.0;
     for (int64_t pass = 0; pass < options_.finetune_passes; ++pass) {
-      loss_sum = loss_sum + model_->TrainOnStreamFacts(facts, graphs, times,
-                                                       report.time,
-                                                       &optimizer_);
+      optimizer_.ZeroGrad();
+      EpochStats step =
+          model_->ForwardBackwardOnFacts(facts, graphs, times, report.time);
+      engine_.Pause();
+      optimizer_.Step();
+      engine_.Resume();
+      loss_sum = loss_sum + step.loss;
     }
     report.finetune_loss =
         loss_sum / static_cast<double>(options_.finetune_passes);
@@ -120,7 +127,6 @@ StreamIngestReport StreamSession::IngestSnapshot(
   }
   report.seconds_finetune =
       static_cast<double>(MonotonicNowNs() - finetune_start) * 1e-9;
-  engine_.Resume();
 
   // Publish the successor snapshot (horizon time+1, rebuilt from the
   // fine-tuned weights), then re-score the same batch on it.

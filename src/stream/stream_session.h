@@ -6,31 +6,35 @@
 //   facts(t) ──► IngestSnapshot:
 //                  1. staleness eval — score the arrivals on the CURRENT
 //                     snapshot (horizon t, which has not seen t's facts);
-//                  2. Pause() the engine (quiesce in-flight scoring);
-//                  3. ExtendHistory — the model's global history index
-//                     absorbs the arrivals in place;
-//                  4. fine-tune — TrainOnStreamFacts over the engine's
-//                     own evolution window, one Adam step per pass;
-//                  5. writeback — every parameter is copied into the mmap
+//                  2. ExtendHistory — the model's global history index
+//                     absorbs the arrivals in place (serving reads each
+//                     snapshot's own index, never this one);
+//                  3. fine-tune — ZeroGrad, ForwardBackwardOnFacts over the
+//                     engine's own evolution window, then Adam's Step
+//                     under Pause()/Resume(), once per pass;
+//                  4. writeback — every parameter is copied into the mmap
 //                     checkpoint (when configured) and flushed;
-//                  6. Resume() + Advance — the engine publishes the
-//                     copy-on-write successor snapshot at horizon t+1,
-//                     rebuilt from the fine-tuned weights;
-//                  7. freshness eval — the SAME arrivals re-score on the
+//                  5. Advance — the engine publishes the copy-on-write
+//                     successor snapshot at horizon t+1, rebuilt from the
+//                     fine-tuned weights;
+//                  6. freshness eval — the SAME arrivals re-score on the
 //                     new snapshot; (stale, fresh) MRR feeds the rolling
 //                     DriftTracker (eval/drift.h);
-//                  8. TrimBufferPool — drops the whole pool on every
+//                  7. TrimBufferPool — drops the whole pool on every
 //                     thread, serving workers included, so the history-
 //                     dependent sizes this ingest superseded do not pile
 //                     up until the pool's byte cap; same-shape buffers
 //                     are re-allocated on their next use.
 //
-// Query traffic keeps flowing for the entire ingest except the fine-tune
-// span (steps 2-6), during which submissions still enqueue (and still shed
-// on queue depth) but do not score — weights are mutating. The caller
-// interleaves Score/TopK/Submit with IngestSnapshot from any threads;
-// IngestSnapshot itself must be called from one thread at a time (one
-// logical fact stream).
+// Weights must not be written while a snapshot scores; concurrent reads are
+// allowed. So query traffic keeps flowing for the whole ingest except each
+// fine-tune pass's optimizer step, during which submissions still enqueue
+// (and still shed on queue depth) but do not score. Queries answered during
+// forward and backward see the pre-ingest weights; those answered between
+// the step and the Advance publish see the new weights over the previous
+// horizon's evolution. The caller interleaves Score/TopK/Submit with
+// IngestSnapshot from any threads; IngestSnapshot itself must be called
+// from one thread at a time (one logical fact stream).
 
 #ifndef LOGCL_STREAM_STREAM_SESSION_H_
 #define LOGCL_STREAM_STREAM_SESSION_H_
@@ -89,8 +93,8 @@ struct StreamIngestReport {
   // a checkpoint).
   int64_t rows_written = 0;
   double seconds = 0;        // wall time of the whole ingest
-  // Wall-time split of `seconds` (drift evals / quiesced fine-tune incl.
-  // history extension + writeback / snapshot advance) so regressions in one
+  // Wall-time split of `seconds` (drift evals / fine-tune incl. history
+  // extension + writeback / snapshot advance) so regressions in one
   // phase are visible without a profiler.
   double seconds_eval = 0;
   double seconds_finetune = 0;
@@ -107,7 +111,9 @@ class StreamSession {
   /// Builds the serving snapshot at `start_time` and starts the engine. The
   /// model must outlive the session and must not be trained or mutated
   /// elsewhere while the session lives — the session is the model's only
-  /// writer (fine-tune under Pause()).
+  /// writer. Weights must not be written while a snapshot scores;
+  /// concurrent reads are allowed, so the session pauses the engine only
+  /// for each optimizer step.
   StreamSession(LogClModel* model, int64_t start_time,
                 StreamSessionOptions options = {});
 
@@ -126,8 +132,9 @@ class StreamSession {
   }
 
   /// Ingests the completed horizon's facts (all at time()): staleness eval,
-  /// quiesced fine-tune, checkpoint writeback, snapshot advance, freshness
-  /// eval. Serial with itself; concurrent with queries.
+  /// fine-tune (engine paused only for each optimizer step), checkpoint
+  /// writeback, snapshot advance, freshness eval. Serial with itself;
+  /// concurrent with queries.
   StreamIngestReport IngestSnapshot(const std::vector<Quadruple>& facts);
 
   /// The horizon queries are currently answered at (facts for exactly this

@@ -6,10 +6,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/observability.h"
 #include "core/logcl_model.h"
 #include "synth/generator.h"
 #include "tensor/ops.h"
@@ -31,6 +33,16 @@ TEST(ThreadCountTest, SetAndGetRoundTrip) {
   EXPECT_EQ(GetNumThreads(), 1);
   SetNumThreads(0);  // restore default
   EXPECT_GE(GetNumThreads(), 1);
+}
+
+TEST(ThreadCountTest, SetNumThreadsClampsToTheMaximum) {
+  ThreadCountGuard guard;
+  // No parallel region runs at this size, so no worker is ever started.
+  SetNumThreads(1 << 30);
+  EXPECT_EQ(GetNumThreads(), kMaxNumThreads);
+  SetNumThreads(0);
+  EXPECT_GE(GetNumThreads(), 1);
+  EXPECT_LE(GetNumThreads(), kMaxNumThreads);
 }
 
 TEST(ParallelForTest, EmptyRangeNeverInvokesBody) {
@@ -225,6 +237,81 @@ TEST(ThreadDeterminismTest, DropoutDrawsMatchSerialStreamAtAnyThreadCount) {
     ExpectSameBits(ref.out, got.out, "dropout output");
     ExpectSameBits(ref.grad, got.grad, "dropout input grad");
     EXPECT_EQ(ref.next, got.next) << "threads=" << threads;
+  }
+}
+
+// Two threads share one 4-thread pool: a top-level region that finds the
+// other thread's region running executes its chunks inline, and its result
+// is bitwise the 1-thread result.
+TEST(ParallelTest, BusyPoolRegionRunsInlineBitwise) {
+  ThreadCountGuard guard;
+  Rng rng(5);
+  Tensor a = Tensor::RandomNormal(Shape({96, 64}), 1.0f, &rng);
+  Tensor b = Tensor::RandomNormal(Shape({64, 80}), 1.0f, &rng);
+  std::vector<float> xs(20000);
+  for (float& x : xs) x = static_cast<float>(rng.Normal(0.0, 3.0));
+  auto sum = [&] {
+    return ParallelReduce<float>(
+        0, static_cast<int64_t>(xs.size()), 256, 0.0f,
+        [&](int64_t lo, int64_t hi) {
+          float s = 0.0f;
+          for (int64_t i = lo; i < hi; ++i) s += xs[static_cast<size_t>(i)];
+          return s;
+        },
+        [](float x, float y) { return x + y; });
+  };
+  SetNumThreads(1);
+  const std::vector<float> product = ops::MatMul(a, b).data();
+  const float total = sum();
+
+  SetNumThreads(4);
+  auto inline_regions = [] {
+    return Metrics().Snapshot().CounterValue("logcl.parallel.inline_regions");
+  };
+  const uint64_t inline_before = inline_regions();
+
+  // Deterministic overlap first: one thread's region holds the pool until
+  // the other thread's MatMul and sum have both finished, so every region
+  // of the latter must run inline.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> other_done{false};
+  std::thread holder([&] {
+    ParallelFor(0, 4, 1, [&](int64_t lo, int64_t) {
+      if (lo != 0) return;
+      holding.store(true, std::memory_order_release);
+      while (!other_done.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  });
+  while (!holding.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::vector<float> held_product = ops::MatMul(a, b).data();
+  float held_total = sum();
+  other_done.store(true, std::memory_order_release);
+  holder.join();
+  EXPECT_EQ(held_product, product);
+  EXPECT_EQ(held_total, total);
+  EXPECT_GE(inline_regions(), inline_before + 2);  // the MatMul and the sum
+
+  // Then free-running: both threads repeat both computations.
+  constexpr int kReps = 20;
+  auto repeat = [&](std::vector<std::vector<float>>* products,
+                    std::vector<float>* totals) {
+    for (int i = 0; i < kReps; ++i) {
+      products->push_back(ops::MatMul(a, b).data());
+      totals->push_back(sum());
+    }
+  };
+  std::vector<std::vector<float>> products_a, products_b;
+  std::vector<float> totals_a, totals_b;
+  std::thread other([&] { repeat(&products_b, &totals_b); });
+  repeat(&products_a, &totals_a);
+  other.join();
+  for (int i = 0; i < kReps; ++i) {
+    EXPECT_EQ(products_a[i], product) << "rep " << i;
+    EXPECT_EQ(products_b[i], product) << "rep " << i;
+    EXPECT_EQ(totals_a[i], total) << "rep " << i;
+    EXPECT_EQ(totals_b[i], total) << "rep " << i;
   }
 }
 

@@ -124,6 +124,9 @@ TEST(RuntimeConfigTest, NumThreadsEnvKeepsAutoOnBadInput) {
   EXPECT_EQ(NumThreadsFor("abc"), 0);
   EXPECT_EQ(NumThreadsFor("4x"), 0);
   EXPECT_EQ(NumThreadsFor("-2"), 0);
+  EXPECT_EQ(NumThreadsFor("256"), 256);  // kMaxNumThreads
+  EXPECT_EQ(NumThreadsFor("257"), 0);
+  EXPECT_EQ(NumThreadsFor("100000"), 0);
   EXPECT_EQ(NumThreadsFor("2147483648"), 0);  // INT_MAX + 1
   EXPECT_EQ(NumThreadsFor("99999999999999999999"), 0);
 }

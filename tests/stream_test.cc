@@ -1,8 +1,9 @@
 // Tests for the streaming continual-learning tier: mmap checkpoint
 // round-trips and whole-tensor writeback, typed admission-control shedding
 // under overload (and that it never deadlocks), the StreamGenerator's
-// statistics, and the StreamSession's drift numbers against an offline
-// re-evaluation built from the public primitives.
+// statistics, the StreamSession's drift numbers against an offline
+// re-evaluation built from the public primitives, and that queries served
+// during a fine-tune leave its training bitwise unchanged.
 
 #include <atomic>
 #include <cstring>
@@ -403,7 +404,9 @@ TEST(StreamSessionTest, DriftMatchesOfflineReEvalOnTwoAdvances) {
       times.push_back(wt);
       graphs.push_back(graph.get());
     }
-    model_b.TrainOnStreamFacts(facts_b, graphs, times, t, &optimizer_b);
+    optimizer_b.ZeroGrad();
+    model_b.ForwardBackwardOnFacts(facts_b, graphs, times, t);
+    optimizer_b.Step();
     snap = snap->Advance(facts_b);
     double fresh = EvalScoredFacts(score_rows(*snap, facts_b), facts_b).mrr;
 
@@ -413,6 +416,70 @@ TEST(StreamSessionTest, DriftMatchesOfflineReEvalOnTwoAdvances) {
     EXPECT_EQ(report.time, t);
   }
   EXPECT_EQ(session.drift().advances(), 2);
+}
+
+// Serving stays live through the fine-tune's forward and backward (only the
+// optimizer step pauses it): a session ingesting under concurrent TopK
+// traffic trains exactly as one that serves nothing, and every concurrent
+// answer is complete.
+TEST(StreamSessionTest, QueriesDuringFineTuneLeaveTrainingBitwise) {
+  constexpr int kIngests = 3;
+  constexpr int64_t kTopK = 5;
+  StreamConfig stream = SmallStreamConfig();
+  StreamGenerator gen_a(stream);
+  StreamGenerator gen_b(stream);
+  TkgDataset dataset_a = gen_a.WarmupDataset();
+  TkgDataset dataset_b = gen_b.WarmupDataset();
+  LogClModel model_a(&dataset_a, SmallModelConfig());
+  LogClModel model_b(&dataset_b, SmallModelConfig());
+  StreamSessionOptions options;
+  options.finetune_passes = 2;
+  options.eval_queries = 1 << 20;  // evaluate every arrival
+  StreamSession session_a(&model_a, stream.warmup_timestamps, options);
+  StreamSession session_b(&model_b, stream.warmup_timestamps, options);
+
+  // Session A: ingests while a second thread loops TopK.
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> answered{0};
+  std::atomic<int64_t> incomplete{0};
+  std::thread client([&] {
+    for (int64_t i = 0; !stop.load(); ++i) {
+      ServeQuery query{i % dataset_a.num_entities(),
+                       i % dataset_a.num_relations_with_inverse()};
+      Result<std::vector<std::pair<int64_t, float>>> top =
+          session_a.TopK(query, kTopK);
+      if (!top.ok() || static_cast<int64_t>(top.value().size()) != kTopK) {
+        ++incomplete;
+      }
+      ++answered;
+    }
+  });
+  while (answered.load() == 0) std::this_thread::yield();
+  std::vector<StreamIngestReport> reports_a;
+  std::vector<std::vector<Quadruple>> arrivals;
+  for (int i = 0; i < kIngests; ++i) {
+    arrivals.push_back(gen_a.NextSnapshot());
+    reports_a.push_back(session_a.IngestSnapshot(arrivals.back()));
+  }
+  stop.store(true);
+  client.join();
+  EXPECT_GT(answered.load(), 0);
+  EXPECT_EQ(incomplete.load(), 0);
+
+  // Session B: the same arrivals with no queries.
+  for (int i = 0; i < kIngests; ++i) {
+    std::vector<Quadruple> facts = gen_b.NextSnapshot();
+    ASSERT_EQ(facts, arrivals[static_cast<size_t>(i)]);
+    StreamIngestReport report_b = session_b.IngestSnapshot(facts);
+    const StreamIngestReport& report_a = reports_a[static_cast<size_t>(i)];
+    EXPECT_EQ(report_a.finetune_loss, report_b.finetune_loss)
+        << "ingest " << i;
+    EXPECT_EQ(report_a.drift.mrr_stale, report_b.drift.mrr_stale)
+        << "ingest " << i;
+    EXPECT_EQ(report_a.drift.mrr_fresh, report_b.drift.mrr_fresh)
+        << "ingest " << i;
+  }
+  ExpectBitwiseEqual(model_a.Parameters(), model_b.Parameters());
 }
 
 TEST(StreamSessionTest, IngestLeavesNothingPooled) {
